@@ -236,10 +236,10 @@ def criteria_report(
         group = [tuple(range(width))]
         notes.append("symmetry search skipped: width over cap, orbits not pruned")
 
-    parts: list[Partition] = [Partition.finest(width)]
-    if width >= 2:
-        # at width 2 the finest partition is the one bipartition
-        parts.extend(p for p in enumerate_bipartitions(width) if p not in parts)
+    finest = Partition.finest(width)
+    bipartitions = enumerate_bipartitions(width) if width >= 2 else []
+    # at width 2 the finest partition is the one bipartition
+    parts = [finest] + [p for p in bipartitions if p != finest]
 
     cache: dict[Partition, tuple[int, tuple[PauliString, ...]]] = {}
     per_partition: dict[Partition, PartitionBound] = {}
@@ -264,13 +264,12 @@ def criteria_report(
         )
         per_partition[part] = PartitionBound(bound, witness, rep)
 
-    finest = Partition.finest(width)
     class_bounds: dict[str, int] = {
         "full_separability": per_partition[finest].bound
     }
-    if width >= 2:
+    if bipartitions:
         class_bounds["any_bipartition"] = max(
-            per_partition[p].bound for p in enumerate_bipartitions(width)
+            per_partition[p].bound for p in bipartitions
         )
 
     plain = build_graph(sigma, Partition.single_block(width), "commute")

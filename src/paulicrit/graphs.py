@@ -14,12 +14,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .cuts import Partition, cut_anticommute, cut_commute
+import numpy as np
+
+from .cuts import Partition
 from .errors import CapExceeded
 from .pauli import OperatorSet
 
 CLIQUE_VERTEX_CAP = 128
 COLOR_VERTEX_CAP = 64
+
+_FOLDS = tuple(np.uint64(shift) for shift in (32, 16, 8, 4, 2, 1))
+_BAND_WORDS = 1 << 20  # 8 MB per temporary of the banded overlap matrix
+
+
+def _unpack_rows(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """n-by-n bool matrix whose row i holds the low n bits of rows[i]."""
+    size = -(-n // 8)
+    raw = b"".join(row.to_bytes(size, "little") for row in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, size)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
 
 
 @dataclass(frozen=True)
@@ -39,9 +52,11 @@ class Graph:
                 raise ValueError(f"adjacency row {i} references missing vertices")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self loop")
-            for j in range(n):
-                if ((row >> j) & 1) != ((self.adjacency[j] >> i) & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+        bits = _unpack_rows(self.adjacency, n)
+        asymmetric = np.argwhere(bits != bits.T)
+        if asymmetric.size:
+            i, j = asymmetric[0]
+            raise ValueError(f"adjacency not symmetric at ({i}, {j})")
 
     @classmethod
     def from_edges(cls, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -96,27 +111,55 @@ class CliqueResult:
     witness: tuple[int, ...]
 
 
+def _words(values: Iterable[int], count: int) -> np.ndarray:
+    """Split int bitmasks into rows of ``count`` little-endian uint64 words."""
+    raw = b"".join(v.to_bytes(8 * count, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, count)
+
+
 def build_graph(
     sigma: OperatorSet,
     part: Partition,
     relation: Literal["commute", "anticommute"],
 ) -> Graph:
-    """Graph over sigma's members; edges are pairs in the cut relation."""
+    """Graph over sigma's members; edges are pairs in the cut relation.
+
+    All pairs at once: W[i, j] = (x_i & z_j) ^ (z_i & x_j) is the site-wise
+    symplectic overlap, and members i and j cut-anticommute exactly when
+    W[i, j] & mask has odd popcount for some block mask.  Widths above 64
+    span several words; the parity of a masked row is the parity of the
+    XOR of its words, folded down to one bit (numpy 1.24 has no popcount).
+    W is taken a band of rows at a time so that large sets stay within
+    ``_BAND_WORDS`` words per temporary.
+    """
     if relation not in ("commute", "anticommute"):
         raise ValueError(f"relation must be 'commute' or 'anticommute', got {relation!r}")
     if sigma.width != part.width:
         raise ValueError(
             f"partition width {part.width} does not match operator width {sigma.width}"
         )
-    test = cut_commute if relation == "commute" else cut_anticommute
     members = sigma.members
     n = len(members)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if test(members[i], members[j], part):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    count = -(-sigma.width // 64)
+    x = _words((m.x_bits for m in members), count)
+    z = _words((m.z_bits for m in members), count)
+    masks = _words(part.masks, count)
+    band = max(1, _BAND_WORDS // (n * count))
+    adj: list[int] = []
+    for start in range(0, n, band):
+        w = x[start : start + band, None, :] & z[None, :, :]
+        w ^= z[start : start + band, None, :] & x[None, :, :]
+        anti = np.zeros(w.shape[:2], dtype=bool)
+        for mask in masks:
+            v = np.bitwise_xor.reduce(w & mask, axis=-1)
+            for shift in _FOLDS:
+                v ^= v >> shift
+            anti |= (v & np.uint64(1)).astype(bool)
+        related = anti if relation == "anticommute" else ~anti
+        rows = np.packbits(related, axis=1, bitorder="little")
+        # a member cut-commutes with itself; that is not an edge
+        for i, row in enumerate(rows, start):
+            adj.append(int.from_bytes(row.tobytes(), "little") & ~(1 << i))
     return Graph(sigma.texts(), tuple(adj))
 
 

@@ -157,7 +157,7 @@ class OperatorSet:
     expectation is constant and would shift every bound trivially.
     """
 
-    __slots__ = ("width", "members")
+    __slots__ = ("width", "members", "_texts")
 
     def __init__(self, members: Iterable[PauliString]):
         width: int | None = None
@@ -179,6 +179,7 @@ class OperatorSet:
             raise ValueError("an operator set needs at least one member")
         self.width: int = width
         self.members: tuple[PauliString, ...] = tuple(kept)
+        self._texts: tuple[str, ...] = tuple(format_pauli(m) for m in kept)
 
     @classmethod
     def from_strings(cls, texts: Iterable[str]) -> "OperatorSet":
@@ -209,7 +210,7 @@ class OperatorSet:
             return cls.from_lines(handle)
 
     def texts(self) -> tuple[str, ...]:
-        return tuple(format_pauli(m) for m in self.members)
+        return self._texts
 
     def index(self, p: PauliString) -> int:
         return self.members.index(p)

@@ -147,6 +147,31 @@ def test_graph_json_matches_library(sigma15_file, capsys):
     assert obj["edges"] == [[i, j] for i, j in expected.edges()]
 
 
+def test_graph_cut_on_wide_set(tmp_path, capsys):
+    # width 70 is past one 64-bit word and past the 26 block letters
+    rng = np.random.default_rng(23)
+    path = tmp_path / "wide.txt"
+    path.write_text(
+        "".join("".join(rng.choice(list("xyz"), size=70)) + "\n" for _ in range(12))
+    )
+    cut = ",".join(str(i) for i in range(0, 70, 2)) + "|" + ",".join(
+        str(i) for i in range(1, 70, 2)
+    )
+    assert main(["graph", str(path), "--cut", cut, "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    from paulicrit import OperatorSet, cut_commute, parse_partition
+
+    sigma = OperatorSet.from_file(str(path))
+    part = parse_partition(cut, 70)
+    assert obj["labels"] == list(sigma.texts())
+    assert obj["edges"] == [
+        [i, j]
+        for i in range(12)
+        for j in range(i + 1, 12)
+        if cut_commute(sigma[i], sigma[j], part)
+    ]
+
+
 def test_graph_output_file(sigma3_file, tmp_path):
     out_path = tmp_path / "graph.dot"
     assert main(["graph", sigma3_file, "-o", str(out_path)]) == 0

@@ -107,16 +107,17 @@ def test_cut_relations_examples():
 
 
 def test_cut_relations_match_restrictions():
+    # widths past 64 put the block masks and overlaps on several words
     rng = np.random.default_rng(11)
-    for _ in range(200):
-        width = int(rng.integers(2, 7))
+    for _ in range(300):
+        width = int(rng.integers(2, 71))
         p = parse_pauli("".join(rng.choice(list("1xyz"), size=width)))
         q = parse_pauli("".join(rng.choice(list("1xyz"), size=width)))
-        labels = rng.integers(0, 3, size=width)
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=width)
         labels[rng.integers(width)] = 0
         blocks = [
             tuple(int(i) for i in np.flatnonzero(labels == k))
-            for k in range(3)
+            for k in range(4)
             if np.any(labels == k)
         ]
         part = Partition(width, tuple(blocks))

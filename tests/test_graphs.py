@@ -14,15 +14,19 @@ from paulicrit import (
     Graph,
     OperatorSet,
     Partition,
+    anticommutes,
     build_graph,
     chromatic_number,
     complement,
     cut_anticommute,
     cut_commute,
+    enumerate_bipartitions,
     export_dot,
     independence_number,
     max_clique,
     parse_partition,
+    parse_pauli,
+    restrict,
 )
 
 
@@ -104,6 +108,43 @@ def test_build_graph_matches_cut_relation(sigma15):
         for i, j in itertools.combinations(range(len(sigma15)), 2):
             expect = check(sigma15.members[i], sigma15.members[j], part)
             assert g.has_edge(i, j) == expect
+
+
+def _random_set(rng, width, count):
+    texts = {"".join(rng.choice(list("1xyz"), size=width)) for _ in range(count)}
+    return OperatorSet(parse_pauli(t) for t in sorted(texts) if set(t) != {"1"})
+
+
+def _assert_edges_match_restrictions(sigma, part):
+    anti = build_graph(sigma, part, "anticommute")
+    comm = build_graph(sigma, part, "commute")
+    for i, j in itertools.combinations(range(len(sigma)), 2):
+        p, q = sigma.members[i], sigma.members[j]
+        expect = any(
+            anticommutes(restrict(p, b), restrict(q, b)) for b in part.blocks
+        )
+        assert anti.has_edge(i, j) == expect
+        assert comm.has_edge(i, j) == (not expect)
+
+
+def test_build_graph_matches_restrictions_every_bipartition():
+    sigma = _random_set(np.random.default_rng(17), 10, 14)
+    for part in enumerate_bipartitions(10):
+        _assert_edges_match_restrictions(sigma, part)
+
+
+def test_build_graph_matches_restrictions_wide():
+    # width 70 spans two uint64 words, with blocks on both sides of bit 64
+    rng = np.random.default_rng(19)
+    sigma = _random_set(rng, 70, 24)
+    for block_count in (3, 3, 4, 4):
+        labels = rng.integers(0, block_count, size=70)
+        labels[:block_count] = range(block_count)
+        blocks = tuple(
+            tuple(int(i) for i in np.flatnonzero(labels == k))
+            for k in range(block_count)
+        )
+        _assert_edges_match_restrictions(sigma, Partition(70, blocks))
 
 
 def test_build_graph_rejects_bad_relation(sigma3):
