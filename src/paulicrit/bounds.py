@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 from .cuts import (
     Partition,
-    canonical_representative,
     cut_commute,
     enumerate_bipartitions,
-    permute_partition,
+    partition_orbits,
     symmetry_group,
 )
 from .errors import CapExceeded
@@ -31,6 +30,7 @@ from .graphs import (
     CLIQUE_VERTEX_CAP,
     COLOR_VERTEX_CAP,
     build_graph,
+    check_clique_cap,
     chromatic_number,
     max_clique,
 )
@@ -184,10 +184,11 @@ def bound_for_class(
         group = symmetry_group(sigma)
     except CapExceeded:
         group = [tuple(range(sigma.width))]
+    orbits = partition_orbits(parts, group)
     best = 0
     seen: dict[Partition, int] = {}
     for part in parts:
-        rep = canonical_representative(part, group)
+        rep = orbits[part][0]
         if rep not in seen:
             seen[rep] = bound_for_partition(sigma, rep, cap)[0]
         best = max(best, seen[rep])
@@ -212,13 +213,6 @@ def quantum_bounds(
     return lower, upper
 
 
-def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, p in enumerate(perm):
-        out[p] = i
-    return tuple(out)
-
-
 def criteria_report(
     sigma: OperatorSet,
     *,
@@ -229,39 +223,33 @@ def criteria_report(
     """Bounds for the finest partition and every bipartition, plus the
     no-cut quantum values, with orbit pruning under the set's symmetries."""
     width = sigma.width
+    # every graph below has one vertex per member; refuse before any search
+    check_clique_cap(len(sigma), clique_cap)
     notes: list[str] = []
     try:
         group = symmetry_group(sigma)
-    except CapExceeded:
+    except CapExceeded as exc:
         group = [tuple(range(width))]
-        notes.append("symmetry search skipped: width over cap, orbits not pruned")
+        notes.append(f"identity group used: {exc}; orbits not pruned")
 
     finest = Partition.finest(width)
     bipartitions = enumerate_bipartitions(width) if width >= 2 else []
     # at width 2 the finest partition is the one bipartition
     parts = [finest] + [p for p in bipartitions if p != finest]
+    orbits = partition_orbits(parts, group)
+    identity = tuple(range(width))
 
     cache: dict[Partition, tuple[int, tuple[PauliString, ...]]] = {}
     per_partition: dict[Partition, PartitionBound] = {}
-    orbit_count = 0
     for part in parts:
-        rep = None
-        rep_g = None
-        for g in group:
-            image = permute_partition(part, g)
-            if rep is None or image < rep:
-                rep, rep_g = image, g
+        rep, g = orbits[part]
         if rep not in cache:
             cache[rep] = bound_for_partition(sigma, rep, clique_cap)
-            orbit_count += 1
-        bound, rep_witness = cache[rep]
-        back = _invert(rep_g)
-        witness = tuple(
-            sorted(format_pauli(permute(m, back)) for m in rep_witness)
-        )
-        _verify_cut_clique(
-            tuple(permute(m, back) for m in rep_witness), part
-        )
+        bound, members = cache[rep]
+        if g != identity:
+            members = tuple(permute(m, g) for m in members)
+        _verify_cut_clique(members, part)
+        witness = tuple(sorted(format_pauli(m) for m in members))
         per_partition[part] = PartitionBound(bound, witness, rep)
 
     class_bounds: dict[str, int] = {
@@ -278,7 +266,7 @@ def criteria_report(
 
     notes.append(
         f"symmetry group order {len(group)}; "
-        f"{len(parts)} partitions in {orbit_count} orbits"
+        f"{len(parts)} partitions in {len(cache)} orbits"
     )
     notes.append(
         "class bounds take the maximum over member partitions; "

@@ -12,6 +12,17 @@ its block bitmasks (``Partition.masks``) and the cut test is one parity
 per block.  ``pauli.restrict`` is now only the definition the tests
 compare this rule against.
 
+The symmetry group of a set is found by backtracking over site images,
+capped in width and in search nodes.  Its group property is proved from
+generators rather than by composing every pair: walking the elements in
+sorted order, an element joins the generators when the closure of the
+earlier ones misses it, and that closure grows breadth-first with every
+product required to lie in the set.  This costs |G|·|gens| compositions
+with |gens| <= log2 |G|.  Partition orbits come from one Schreier tree
+per orbit over those generators (``partition_orbits``): the orbit's
+minimum is its representative, and each member carries a group element
+mapping the representative onto it, so no caller scans the whole group.
+
 Partitions are stored canonically: sites sorted inside each block, blocks
 sorted by their smallest site.  Text forms use block letters A, B, C, ...
 for widths up to 26 (``AC|BDE``) or comma-separated indices (``0,2|1,3,4``).
@@ -19,9 +30,10 @@ for widths up to 26 (``AC|BDE``) or comma-separated indices (``0,2|1,3,4``).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, ParseError
@@ -29,6 +41,10 @@ from .pauli import OperatorSet, PauliString
 
 # The symmetry search is factorial in the worst case; stop well before that hurts.
 SYMMETRY_WIDTH_CAP = 12
+# A fully symmetric set of width w costs sum_k w!/(w-k)! search nodes:
+# 13 700 at width 7, 109 601 at width 8 and 986 410 at width 9.  The cap
+# admits width 8 and stops width 9 after a few seconds.
+SYMMETRY_NODE_CAP = 150_000
 
 
 @dataclass(frozen=True, order=True)
@@ -161,55 +177,121 @@ def cut_commute(p: PauliString, q: PauliString, part: Partition) -> bool:
     return not cut_anticommute(p, q, part)
 
 
+
+
+def _extend_images(
+    image: list[int],
+    keys: list[int],
+    columns: list[list[int]],
+    profiles: list[dict[int, int]],
+    found: list[tuple[int, ...]],
+    nodes: int,
+) -> int:
+    """Depth-first search for the images of the sites after ``image``.
+
+    ``keys`` holds each member's image-column prefix as a base-4 integer.
+    A site may take image j only when the prefixes grown by column j have
+    the same multiset as the source prefixes of that length.  Returns the
+    node count so far; raises ``CapExceeded`` past ``SYMMETRY_NODE_CAP``.
+    """
+    nodes += 1
+    if nodes > SYMMETRY_NODE_CAP:
+        raise CapExceeded(
+            f"symmetry search on width {len(columns)} exceeds node cap "
+            f"{SYMMETRY_NODE_CAP}"
+        )
+    depth = len(image)
+    if depth == len(columns):
+        found.append(tuple(image))
+        return nodes
+    want = profiles[depth]
+    shifted = [key << 2 for key in keys]
+    for j, column in enumerate(columns):
+        if j in image:
+            continue
+        grown = list(map(add, shifted, column))
+        # dict equality runs in C; Counter.__eq__ is Python code (3.11) and
+        # was most of the search.  Neither side holds a zero count.
+        if dict.__eq__(Counter(grown), want):
+            image.append(j)
+            nodes = _extend_images(image, grown, columns, profiles, found, nodes)
+            image.pop()
+    return nodes
+
+
+def _generators(group: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Generators of a permutation set, proving that it is a group.
+
+    Elements are walked in sorted order; one joins the generators when the
+    closure of the earlier generators does not contain it.  The closure
+    grows breadth-first under right multiplication by the generators, and
+    every product must lie in the set, else ``RuntimeError``.  Once the
+    walk ends the closure is the whole set, so the set is the group the
+    generators generate.  Each element meets each generator once, so the
+    proof costs |G|·|gens| compositions, and |gens| <= log2 |G| because
+    every new generator at least doubles the closure.
+    """
+    members = set(group)
+    identity = tuple(range(len(group[0])))
+    if identity not in members:
+        raise ValueError("symmetry group must contain the identity")
+    closure = {identity}
+    gens: list[tuple[int, ...]] = []
+    steps: list[itemgetter] = []
+    for g in sorted(members):
+        if g in closure:
+            continue
+        gens.append(g)
+        steps.append(itemgetter(*g))
+        every = tuple(steps)
+        # elements already in the closure still lack the new generator
+        queue = deque((e, every[-1:]) for e in closure)
+        while queue:
+            e, apply = queue.popleft()
+            for step in apply:
+                product = step(e)  # e composed with a generator: e[g[i]]
+                if product not in members:
+                    raise RuntimeError(
+                        "symmetry result not closed under composition"
+                    )
+                if product not in closure:
+                    closure.add(product)
+                    queue.append((product, every))
+    return gens
+
+
 def symmetry_group(
     sigma: OperatorSet, cap: int = SYMMETRY_WIDTH_CAP
 ) -> list[tuple[int, ...]]:
-    """All qubit relabelings that map the operator set onto itself.
+    """All qubit relabelings that map the operator set onto itself, sorted.
 
     Returned in the convention of ``pauli.permute``: entry g[i] is the new
     label of qubit i.  Backtracking over images with a multiset pruning
-    test on letter-column prefixes; worst case factorial, fine at the
-    widths the cap admits.  The result always contains the identity and
-    is closed under composition and inverse (checked).
+    test on letter-column prefixes; worst case factorial, so the width is
+    capped and so is the node count (``SYMMETRY_NODE_CAP``).  The result
+    always contains the identity and is closed under inverse and under
+    composition (checked; see ``_generators``).
     """
     n = sigma.width
     if n > cap:
         raise CapExceeded(f"symmetry search on width {n} exceeds cap {cap}")
-    rows = [tuple(m.letter(site) for site in range(n)) for m in sigma.members]
-    count = len(rows)
+    columns = [
+        [(m.x_bits >> site & 1) | (m.z_bits >> site & 1) << 1 for m in sigma.members]
+        for site in range(n)
+    ]
+    # profiles[d] = multiset of source-row prefixes of length d+1
+    profiles: list[dict[int, int]] = []
+    keys = [0] * len(sigma.members)
+    for column in columns:
+        keys = [key * 4 + code for key, code in zip(keys, column)]
+        profiles.append(dict(Counter(keys)))
 
-    # src_profiles[d] = multiset of source-row prefixes of length d+1
-    src_profiles: list[Counter] = []
-    acc: list[tuple[str, ...]] = [() for _ in rows]
-    for depth in range(n):
-        acc = [key + (rows[m][depth],) for m, key in enumerate(acc)]
-        src_profiles.append(Counter(acc))
-
-    image = [-1] * n
-    used = [False] * n
     found: list[tuple[int, ...]] = []
-
-    def extend(depth: int, keys: list[tuple[str, ...]]) -> None:
-        if depth == n:
-            found.append(tuple(image))
-            return
-        want = src_profiles[depth]
-        for j in range(n):
-            if used[j]:
-                continue
-            grown = [keys[m] + (rows[m][j],) for m in range(count)]
-            if Counter(grown) == want:
-                used[j] = True
-                image[depth] = j
-                extend(depth + 1, grown)
-                used[j] = False
-
-    extend(0, [() for _ in rows])
+    _extend_images([], [0] * len(sigma.members), columns, profiles, found, 0)
     found.sort()
 
     group = set(found)
-    identity = tuple(range(n))
-    if identity not in group:
+    if tuple(range(n)) not in group:
         raise RuntimeError("symmetry search lost the identity")
     for g in found:
         inverse = [0] * n
@@ -217,10 +299,7 @@ def symmetry_group(
             inverse[gi] = i
         if tuple(inverse) not in group:
             raise RuntimeError("symmetry result not closed under inverse")
-        for h in found:
-            composed = tuple(g[h[i]] for i in range(n))
-            if composed not in group:
-                raise RuntimeError("symmetry result not closed under composition")
+    _generators(found)
     return found
 
 
@@ -235,28 +314,67 @@ def permute_partition(part: Partition, perm: Sequence[int]) -> Partition:
     )
 
 
+def _schreier_tree(
+    root: Partition, gens: list[tuple[int, ...]]
+) -> dict[Partition, tuple[int, ...]]:
+    """Orbit of ``root`` under the generators, each image with an element
+    g such that permute_partition(root, g) is that image."""
+    tree = {root: tuple(range(root.width))}
+    queue = [root]
+    for node in queue:  # the queue grows while it is read: breadth first
+        g = tree[node]
+        for s in gens:
+            child = permute_partition(node, s)
+            if child not in tree:
+                tree[child] = tuple(s[i] for i in g)
+                queue.append(child)
+    return tree
+
+
+def partition_orbits(
+    parts: Iterable[Partition], group: Iterable[Sequence[int]]
+) -> dict[Partition, tuple[Partition, tuple[int, ...]]]:
+    """Orbit representative and carrying element for every partition.
+
+    Maps each given partition, and every other member of its orbit, to
+    (rep, g): rep is the lexicographically smallest partition of the orbit
+    and g a group element with permute_partition(rep, g) == partition.
+    One Schreier tree per orbit over the group's generators: a search from
+    the first partition met finds the orbit and its minimum, and a second
+    search rooted at the minimum gives each member its element (the root
+    gets the identity).  Costs 2·|orbit|·|gens| images per orbit.
+    """
+    group = [tuple(g) for g in group]
+    if not group:
+        raise ValueError("symmetry group must contain at least the identity")
+    n = len(group[0])
+    for g in group:
+        if sorted(g) != list(range(n)):
+            raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
+    gens = _generators(group)
+    out: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
+    for part in parts:
+        if part.width != n:
+            raise ValueError(
+                f"partition width {part.width} does not match group width {n}"
+            )
+        if part in out:
+            continue
+        rep = min(_schreier_tree(part, gens))
+        for image, g in _schreier_tree(rep, gens).items():
+            out[image] = (rep, g)
+    return out
+
+
 def canonical_representative(
     part: Partition, group: Iterable[Sequence[int]]
 ) -> Partition:
     """Lexicographically smallest image of the partition under the group."""
-    images = [permute_partition(part, g) for g in group]
-    if not images:
-        raise ValueError("symmetry group must contain at least the identity")
-    return min(images)
+    return partition_orbits([part], group)[part][0]
 
 
 def orbit_representatives(
     parts: Iterable[Partition], group: Iterable[Sequence[int]]
 ) -> list[Partition]:
     """One canonical representative per orbit of the group action, sorted."""
-    group = [tuple(g) for g in group]
-    if not group:
-        raise ValueError("symmetry group must contain at least the identity")
-    reps: set[Partition] = set()
-    for part in parts:
-        if part.width != len(group[0]):
-            raise ValueError(
-                f"partition width {part.width} does not match group width {len(group[0])}"
-            )
-        reps.add(canonical_representative(part, group))
-    return sorted(reps)
+    return sorted({rep for rep, _ in partition_orbits(parts, group).values()})

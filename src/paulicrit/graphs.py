@@ -191,24 +191,22 @@ def _greedy_color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]
 
 def _clique_number(adj: tuple[int, ...], n: int) -> int:
     """Branch and bound with greedy colouring upper bounds."""
-    best = 0
+    return _grow_clique(adj, 0, (1 << n) - 1, 0) if n else 0
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        order = _greedy_color_order(adj, cand)
-        local = cand
-        for v, colour in reversed(order):
-            if size + colour <= best:
-                return
-            nxt = local & adj[v]
-            if nxt:
-                expand(size + 1, nxt)
-            elif size + 1 > best:
-                best = size + 1
-            local &= ~(1 << v)
 
-    if n:
-        expand(0, (1 << n) - 1)
+def _grow_clique(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
+    """Largest of ``best`` and size + the clique number of ``cand``."""
+    order = _greedy_color_order(adj, cand)
+    local = cand
+    for v, colour in reversed(order):
+        if size + colour <= best:
+            return best
+        nxt = local & adj[v]
+        if nxt:
+            best = _grow_clique(adj, size + 1, nxt, best)
+        elif size + 1 > best:
+            best = size + 1
+        local &= ~(1 << v)
     return best
 
 
@@ -218,27 +216,29 @@ def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
         return True
     if cand.bit_count() < k:
         return False
-    found = False
+    return _reaches_clique(adj, 0, cand, k)
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal found
-        if found:
-            return
-        order = _greedy_color_order(adj, cand)
-        local = cand
-        for v, colour in reversed(order):
-            if found or size + colour < k:
-                return
-            if size + 1 >= k:
-                found = True
-                return
-            nxt = local & adj[v]
-            if nxt:
-                expand(size + 1, nxt)
-            local &= ~(1 << v)
 
-    expand(0, cand)
-    return found
+def _reaches_clique(adj: tuple[int, ...], size: int, cand: int, k: int) -> bool:
+    """Does ``cand`` hold a clique of size k - size?"""
+    order = _greedy_color_order(adj, cand)
+    local = cand
+    for v, colour in reversed(order):
+        if size + colour < k:
+            return False
+        if size + 1 >= k:
+            return True
+        nxt = local & adj[v]
+        if nxt and _reaches_clique(adj, size + 1, nxt, k):
+            return True
+        local &= ~(1 << v)
+    return False
+
+
+def check_clique_cap(n: int, cap: int = CLIQUE_VERTEX_CAP) -> None:
+    """Refuse a clique search on more than ``cap`` vertices."""
+    if n > cap:
+        raise CapExceeded(f"clique search on {n} vertices exceeds cap {cap}")
 
 
 def max_clique(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
@@ -249,8 +249,7 @@ def max_clique(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
     still allows a completion of full size.
     """
     n = g.vertex_count
-    if n > cap:
-        raise CapExceeded(f"clique search on {n} vertices exceeds cap {cap}")
+    check_clique_cap(n, cap)
     if n == 0:
         return CliqueResult(0, ())
     adj = g.adjacency
@@ -325,32 +324,36 @@ def _neighbours(adj: tuple[int, ...], v: int):
 def _try_coloring(adj: tuple[int, ...], n: int, k: int) -> list[int] | None:
     """Exact k-colouring by saturation-first backtracking, or None."""
     colours = [-1] * n
+    return colours if _assign_colours(adj, colours, k, 0, 0) else None
 
-    def assign(done: int, palette: int) -> bool:
-        if done == n:
+
+def _assign_colours(
+    adj: tuple[int, ...], colours: list[int], k: int, done: int, palette: int
+) -> bool:
+    """Extend a partial colouring (-1 = uncoloured) to k colours, in place."""
+    n = len(colours)
+    if done == n:
+        return True
+    pick = -1
+    pick_key = (-1, -1, 1)
+    for v in range(n):
+        if colours[v] >= 0:
+            continue
+        sat = len({colours[u] for u in _neighbours(adj, v) if colours[u] >= 0})
+        key = (sat, adj[v].bit_count(), -v)
+        if key > pick_key:
+            pick_key = key
+            pick = v
+    banned = {colours[u] for u in _neighbours(adj, pick) if colours[u] >= 0}
+    # At most one brand-new colour may be opened, killing palette symmetry.
+    for c in range(min(k, palette + 1)):
+        if c in banned:
+            continue
+        colours[pick] = c
+        if _assign_colours(adj, colours, k, done + 1, max(palette, c + 1)):
             return True
-        pick = -1
-        pick_key = (-1, -1, 1)
-        for v in range(n):
-            if colours[v] >= 0:
-                continue
-            sat = len({colours[u] for u in _neighbours(adj, v) if colours[u] >= 0})
-            key = (sat, adj[v].bit_count(), -v)
-            if key > pick_key:
-                pick_key = key
-                pick = v
-        banned = {colours[u] for u in _neighbours(adj, pick) if colours[u] >= 0}
-        # At most one brand-new colour may be opened, killing palette symmetry.
-        for c in range(min(k, palette + 1)):
-            if c in banned:
-                continue
-            colours[pick] = c
-            if assign(done + 1, max(palette, c + 1)):
-                return True
-            colours[pick] = -1
-        return False
-
-    return list(colours) if assign(0, 0) else None
+        colours[pick] = -1
+    return False
 
 
 def chromatic_number(g: Graph, cap: int = COLOR_VERTEX_CAP) -> tuple[int, tuple[int, ...]]:

@@ -1,7 +1,12 @@
 """Partition bounds, class bounds, reports, and classification."""
 
+import gc
+import types
+
 import numpy as np
 import pytest
+
+import paulicrit.cuts as cuts_module
 
 from paulicrit import (
     OperatorSet,
@@ -15,7 +20,9 @@ from paulicrit import (
     criteria_report,
     cut_commute,
     evaluate_q,
+    chromatic_number,
     format_pauli,
+    Graph,
     named_state,
     parse_partition,
     parse_pauli,
@@ -265,3 +272,38 @@ def test_verdict_json(sigma3):
     assert obj["q_value"] == 2.5
     assert all(set(c) == {"claim", "threshold"} for c in obj["claims"])
     assert obj["warnings"] == []
+
+
+def test_criteria_report_notes_the_cap_that_tripped(sigma15, monkeypatch):
+    monkeypatch.setattr(cuts_module, "SYMMETRY_NODE_CAP", 10)
+    report = criteria_report(sigma15)
+    assert any(
+        "identity group used" in note and "node cap 10" in note
+        for note in report.notes
+    )
+    assert any("16 partitions in 16 orbits" in note for note in report.notes)
+
+
+def test_searches_leave_no_reference_cycles(sigma15, monkeypatch):
+    """Recursive searches must be freed by reference counting alone."""
+    five_cycle = Graph.from_edges("abcde", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        criteria_report(sigma15)
+        assert chromatic_number(five_cycle)[0] == 3  # probes k = 2 and fails
+        # the symmetry search stopped by its node cap: the exception path
+        monkeypatch.setattr(cuts_module, "SYMMETRY_NODE_CAP", 10)
+        criteria_report(sigma15)
+        gc.collect()
+        leaked = sorted(
+            obj.__qualname__
+            for obj in gc.garbage
+            if isinstance(obj, types.FunctionType)
+            and obj.__module__.startswith("paulicrit")
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []

@@ -124,6 +124,26 @@ def test_bounds_cap_exit_code(sigma3_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["bounds"], ["eval", "--state", "ghz"]])
+def test_oversized_set_fails_before_any_search(command, tmp_path, capsys, monkeypatch):
+    import paulicrit.bounds as bounds_module
+    import paulicrit.cli as cli_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symmetry search ran on an oversized set")
+
+    monkeypatch.setattr(bounds_module, "symmetry_group", forbidden)
+    monkeypatch.setattr(cli_module, "symmetry_group", forbidden)
+    letters = "1xyz"
+    texts = [
+        "".join(letters[(k >> (2 * i)) & 3] for i in range(4)) for k in range(1, 130)
+    ]
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(texts) + "\n")
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert "clique search on 129 vertices exceeds cap 128" in capsys.readouterr().err
+
+
 def test_graph_dot_output(sigma3_file, capsys):
     assert main(["graph", sigma3_file, "--relation", "anticommute"]) == 0
     out = capsys.readouterr().out

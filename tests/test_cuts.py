@@ -23,6 +23,7 @@ from paulicrit import (
     restrict,
     symmetry_group,
 )
+from paulicrit.cuts import _generators, partition_orbits
 
 
 def test_partition_canonical_form():
@@ -198,6 +199,58 @@ def test_symmetry_group_cap():
         symmetry_group(wide)
 
 
+def _fully_symmetric(width):
+    texts = []
+    for letter in "xyz":
+        for i, j in itertools.combinations(range(width), 2):
+            sites = ["1"] * width
+            sites[i] = sites[j] = letter
+            texts.append("".join(sites))
+    return OperatorSet.from_strings(texts)
+
+
+def test_symmetry_group_node_cap():
+    # width 9 is under the width cap, but its 9! elements need ~986k nodes
+    with pytest.raises(CapExceeded, match="node cap"):
+        symmetry_group(_fully_symmetric(9))
+
+
+def test_symmetry_group_fully_symmetric_width_seven():
+    group = symmetry_group(_fully_symmetric(7))
+    assert len(group) == 5040
+    assert group == sorted(itertools.permutations(range(7)))
+
+
+@pytest.mark.parametrize(
+    "elements",
+    [
+        # S3 without the transposition (1, 0, 2)
+        [g for g in itertools.permutations(range(3)) if g != (1, 0, 2)],
+        # two transpositions whose product, a 3-cycle, is missing
+        [(0, 1, 2), (1, 0, 2), (0, 2, 1)],
+    ],
+)
+def test_generators_reject_unclosed_sets(elements):
+    with pytest.raises(RuntimeError, match="not closed under composition"):
+        _generators(sorted(elements))
+
+
+def test_generators_generate_the_group():
+    group = sorted(itertools.permutations(range(4)))
+    gens = _generators(group)
+    assert len(gens) <= 4  # log2(24) < 5
+    reached = {tuple(range(4))}
+    frontier = list(reached)
+    while frontier:
+        e = frontier.pop()
+        for s in gens:
+            product = tuple(s[i] for i in e)
+            if product not in reached:
+                reached.add(product)
+                frontier.append(product)
+    assert sorted(reached) == group
+
+
 def test_permute_partition():
     part = parse_partition("A|BC", 3)
     assert permute_partition(part, (2, 0, 1)) == parse_partition("AB|C", 3)
@@ -213,6 +266,21 @@ def test_canonical_representative_is_orbit_minimum(sigma15):
     # every orbit member maps to the same representative
     for g in group:
         assert canonical_representative(permute_partition(part, g), group) == rep
+
+
+@pytest.mark.parametrize("name", ["ex8", "eq15", "symmetric5"])
+def test_partition_orbits_match_the_group_scan(name, sigma3, sigma15):
+    sigma = {"ex8": sigma3, "eq15": sigma15, "symmetric5": _fully_symmetric(5)}[name]
+    group = symmetry_group(sigma)
+    parts = [Partition.finest(sigma.width)] + enumerate_bipartitions(sigma.width)
+    orbits = partition_orbits(parts, group)
+    for part in parts:
+        rep, g = orbits[part]
+        assert rep == min(permute_partition(part, h) for h in group)
+        assert g in group
+        assert permute_partition(rep, g) == part
+        # the tree's root is the representative, carried by the identity
+        assert orbits[rep] == (rep, tuple(range(sigma.width)))
 
 
 def test_orbit_representatives_cyclic(sigma15):
