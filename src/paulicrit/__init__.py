@@ -11,17 +11,13 @@ from .bounds import (
     BoundReport,
     Claim,
     PartitionBound,
-    SeparabilityClass,
     Verdict,
-    bound_for_class,
     bound_for_partition,
     classify,
     criteria_report,
-    quantum_bounds,
 )
 from .cuts import (
     Partition,
-    canonical_representative,
     cut_anticommute,
     cut_commute,
     enumerate_bipartitions,
@@ -97,17 +93,14 @@ __all__ = [
     "PauliString",
     "QValue",
     "QuantumState",
-    "SeparabilityClass",
     "Verdict",
     "VerificationRecord",
     "anticommutes",
     "anticommuting_unit_combination",
     "apply_pauli",
     "assemble_product",
-    "bound_for_class",
     "bound_for_partition",
     "build_graph",
-    "canonical_representative",
     "chromatic_number",
     "classify",
     "common_eigenstate",
@@ -134,7 +127,6 @@ __all__ = [
     "pauli_action",
     "permute",
     "permute_partition",
-    "quantum_bounds",
     "random_product_state",
     "restrict",
     "save_state",

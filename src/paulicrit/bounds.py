@@ -10,7 +10,8 @@ class contains.  States with no separability restriction are governed by
 the plain commutativity graph instead: its clique number is reachable by
 a common eigenstate, and the chromatic number caps every state because
 each colour class is a pairwise anticommuting family contributing at
-most 1.
+most 1.  ``criteria_report`` is the one route from a set to its class
+and no-cut bounds; ``bound_for_partition`` serves a single partition.
 """
 
 from __future__ import annotations
@@ -37,42 +38,6 @@ from .graphs import (
 from .pauli import OperatorSet, PauliString, format_pauli, permute
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SeparabilityClass:
-    """A family of partitions whose product states define a state class."""
-
-    kind: str  # "full_separability", "any_bipartition", or "explicit"
-    parts: tuple[Partition, ...] = ()
-
-    @classmethod
-    def full_separability(cls) -> "SeparabilityClass":
-        return cls("full_separability")
-
-    @classmethod
-    def any_bipartition(cls) -> "SeparabilityClass":
-        """Mixtures of states product across some two-block cut; the
-        complement of this class is genuine multipartite entanglement."""
-        return cls("any_bipartition")
-
-    @classmethod
-    def explicit(cls, *parts: Partition) -> "SeparabilityClass":
-        if not parts:
-            raise ValueError("explicit class needs at least one partition")
-        return cls("explicit", tuple(sorted(set(parts))))
-
-    def partitions(self, width: int) -> list[Partition]:
-        if self.kind == "full_separability":
-            return [Partition.finest(width)]
-        if self.kind == "any_bipartition":
-            return enumerate_bipartitions(width)
-        for part in self.parts:
-            if part.width != width:
-                raise ValueError(
-                    f"class partition width {part.width} does not match {width}"
-                )
-        return list(self.parts)
 
 
 @dataclass(frozen=True)
@@ -171,46 +136,6 @@ def bound_for_partition(
     witness = tuple(sigma.members[i] for i in result.witness)
     _verify_cut_clique(witness, part)
     return result.size, witness
-
-
-def bound_for_class(
-    sigma: OperatorSet, cls: SeparabilityClass, cap: int = CLIQUE_VERTEX_CAP
-) -> int:
-    """Largest partition bound over the class; valid for mixtures too."""
-    parts = cls.partitions(sigma.width)
-    if not parts:
-        raise ValueError("class contains no partitions")
-    try:
-        group = symmetry_group(sigma)
-    except CapExceeded:
-        group = [tuple(range(sigma.width))]
-    orbits = partition_orbits(parts, group)
-    best = 0
-    seen: dict[Partition, int] = {}
-    for part in parts:
-        rep = orbits[part][0]
-        if rep not in seen:
-            seen[rep] = bound_for_partition(sigma, rep, cap)[0]
-        best = max(best, seen[rep])
-    return best
-
-
-def quantum_bounds(
-    sigma: OperatorSet,
-    *,
-    coloring: bool = True,
-    clique_cap: int = CLIQUE_VERTEX_CAP,
-    color_cap: int = COLOR_VERTEX_CAP,
-) -> tuple[int, int | None]:
-    """Reachable lower bound and optional colouring upper bound, no cut.
-
-    The lower value is attained by a common eigenstate of the witness
-    clique; the upper value holds for every state of the right width.
-    """
-    g = build_graph(sigma, Partition.single_block(sigma.width), "commute")
-    lower = max_clique(g, clique_cap).size
-    upper = chromatic_number(g, color_cap)[0] if coloring else None
-    return lower, upper
 
 
 def criteria_report(

@@ -21,7 +21,7 @@ from .cuts import (
     symmetry_group,
 )
 from .errors import CapExceeded, ParseError
-from .graphs import build_graph, export_dot, max_clique
+from .graphs import GRAPH_VERTEX_CAP, build_graph, export_dot, max_clique
 from .oracle import OracleConfig, verify_bound
 from .pauli import OperatorSet, cp_expand, parse_pauli
 from .states import common_eigenstate, evaluate_q, load_state, state_to_json_obj
@@ -74,14 +74,6 @@ def _verification_partitions(sigma: OperatorSet) -> list[Partition]:
     return parts
 
 
-def _oracle_config(args) -> OracleConfig:
-    return OracleConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
-
-
 def _verification_rows(records) -> list[str]:
     rows = [("partition", "graph_bound", "oracle_value", "gap", "saturated")]
     for rec in records:
@@ -100,6 +92,28 @@ def _verification_rows(records) -> list[str]:
     return _format_table(rows)
 
 
+def _verification_records(sigma: OperatorSet, args) -> list:
+    """Oracle check of the finest partition and every bipartition orbit."""
+    config = OracleConfig(
+        restarts=args.restarts,
+        max_iterations=args.max_iterations,
+        seed=args.seed,
+    )
+    return [
+        verify_bound(sigma, part, config)
+        for part in _verification_partitions(sigma)
+    ]
+
+
+def _verification_exit(records) -> int:
+    """1 with a diagnostic when the oracle exceeded any graph bound, else 0."""
+    if any(rec.violation for rec in records):
+        print("error: oracle exceeded a graph bound; see verification rows",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -116,13 +130,7 @@ def cmd_bounds(args) -> int:
         clique_cap=args.clique_cap,
         color_cap=args.color_cap,
     )
-    records = None
-    if args.verify:
-        config = _oracle_config(args)
-        records = [
-            verify_bound(sigma, part, config)
-            for part in _verification_partitions(sigma)
-        ]
+    records = _verification_records(sigma, args) if args.verify else None
     if args.json:
         obj = report.to_json_obj()
         if records is not None:
@@ -149,11 +157,7 @@ def cmd_bounds(args) -> int:
             lines.append("")
             lines.extend(_verification_rows(records))
         print("\n".join(lines))
-    if records is not None and any(rec.violation for rec in records):
-        print("error: oracle exceeded a graph bound; see verification rows",
-              file=sys.stderr)
-        return 1
-    return 0
+    return 0 if records is None else _verification_exit(records)
 
 
 def cmd_graph(args) -> int:
@@ -163,6 +167,10 @@ def cmd_graph(args) -> int:
         if args.cut
         else Partition.single_block(sigma.width)
     )
+    if len(sigma) > GRAPH_VERTEX_CAP:
+        raise CapExceeded(
+            f"graph export on {len(sigma)} vertices exceeds cap {GRAPH_VERTEX_CAP}"
+        )
     graph = build_graph(sigma, part, args.relation)
     if args.json:
         _write_output(json.dumps(graph.to_json_obj(), indent=2) + "\n", args.output)
@@ -199,20 +207,12 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     sigma = _load_sigma(args.sigma)
-    config = _oracle_config(args)
-    records = [
-        verify_bound(sigma, part, config)
-        for part in _verification_partitions(sigma)
-    ]
+    records = _verification_records(sigma, args)
     if args.json:
         print(json.dumps([rec.to_json_obj() for rec in records], indent=2))
     else:
         print("\n".join(_verification_rows(records)))
-    if any(rec.violation for rec in records):
-        print("error: oracle exceeded a graph bound; see verification rows",
-              file=sys.stderr)
-        return 1
-    return 0
+    return _verification_exit(records)
 
 
 def cmd_generate(args) -> int:

@@ -13,15 +13,18 @@ per block.  ``pauli.restrict`` is now only the definition the tests
 compare this rule against.
 
 The symmetry group of a set is found by backtracking over site images,
-capped in width and in search nodes.  Its group property is proved from
-generators rather than by composing every pair: walking the elements in
-sorted order, an element joins the generators when the closure of the
-earlier ones misses it, and that closure grows breadth-first with every
-product required to lie in the set.  This costs |G|·|gens| compositions
-with |gens| <= log2 |G|.  Partition orbits come from one Schreier tree
-per orbit over those generators (``partition_orbits``): the orbit's
-minimum is its representative, and each member carries a group element
-mapping the representative onto it, so no caller scans the whole group.
+capped in width and in search work.  Its group property is proved from
+generators rather than by composing every pair (``_generators``): walking
+the elements in sorted order, an element joins the generators when the
+closure of the earlier ones misses it, and that closure grows
+breadth-first with every product required to lie in the set.  This costs
+|G|·|gens| compositions with |gens| <= log2 |G|.  In a finite set,
+closure under composition implies closure under inverse, so no inverse
+check is needed.  The proof runs once per use, inside the one orbit
+routine ``partition_orbits``: it builds one Schreier tree per orbit over
+the generators, the orbit's minimum is its representative, and each
+member carries a group element mapping the representative onto it, so no
+caller scans the whole group.
 
 Partitions are stored canonically: sites sorted inside each block, blocks
 sorted by their smallest site.  Text forms use block letters A, B, C, ...
@@ -41,10 +44,12 @@ from .pauli import OperatorSet, PauliString
 
 # The symmetry search is factorial in the worst case; stop well before that hurts.
 SYMMETRY_WIDTH_CAP = 12
-# A fully symmetric set of width w costs sum_k w!/(w-k)! search nodes:
-# 13 700 at width 7, 109 601 at width 8 and 986 410 at width 9.  The cap
-# admits width 8 and stops width 9 after a few seconds.
-SYMMETRY_NODE_CAP = 150_000
+# A search node at depth d tests the n - d unused columns, each against
+# every member, so it is charged members * (n - d) column tests.  A fully
+# symmetric set of width w with m members costs m * sum_k w!/(w-k)! tests:
+# 9 206 400 at width 8 (84 members), 106 532 172 at width 9.  The budget
+# admits width 8, and every larger input trips after the same work.
+SYMMETRY_WORK_BUDGET = 12_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -177,33 +182,32 @@ def cut_commute(p: PauliString, q: PauliString, part: Partition) -> bool:
     return not cut_anticommute(p, q, part)
 
 
-
-
 def _extend_images(
     image: list[int],
     keys: list[int],
     columns: list[list[int]],
     profiles: list[dict[int, int]],
     found: list[tuple[int, ...]],
-    nodes: int,
+    work: int,
 ) -> int:
     """Depth-first search for the images of the sites after ``image``.
 
     ``keys`` holds each member's image-column prefix as a base-4 integer.
     A site may take image j only when the prefixes grown by column j have
     the same multiset as the source prefixes of that length.  Returns the
-    node count so far; raises ``CapExceeded`` past ``SYMMETRY_NODE_CAP``.
+    column tests charged so far, members times unused columns per node;
+    raises ``CapExceeded`` past ``SYMMETRY_WORK_BUDGET``.
     """
-    nodes += 1
-    if nodes > SYMMETRY_NODE_CAP:
-        raise CapExceeded(
-            f"symmetry search on width {len(columns)} exceeds node cap "
-            f"{SYMMETRY_NODE_CAP}"
-        )
     depth = len(image)
+    work += len(keys) * (len(columns) - depth)
+    if work > SYMMETRY_WORK_BUDGET:
+        raise CapExceeded(
+            f"symmetry search on width {len(columns)} exceeds work budget "
+            f"{SYMMETRY_WORK_BUDGET} member-column tests"
+        )
     if depth == len(columns):
         found.append(tuple(image))
-        return nodes
+        return work
     want = profiles[depth]
     shifted = [key << 2 for key in keys]
     for j, column in enumerate(columns):
@@ -214,9 +218,9 @@ def _extend_images(
         # was most of the search.  Neither side holds a zero count.
         if dict.__eq__(Counter(grown), want):
             image.append(j)
-            nodes = _extend_images(image, grown, columns, profiles, found, nodes)
+            work = _extend_images(image, grown, columns, profiles, found, work)
             image.pop()
-    return nodes
+    return work
 
 
 def _generators(group: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -268,9 +272,9 @@ def symmetry_group(
     Returned in the convention of ``pauli.permute``: entry g[i] is the new
     label of qubit i.  Backtracking over images with a multiset pruning
     test on letter-column prefixes; worst case factorial, so the width is
-    capped and so is the node count (``SYMMETRY_NODE_CAP``).  The result
-    always contains the identity and is closed under inverse and under
-    composition (checked; see ``_generators``).
+    capped and so is the search work (``SYMMETRY_WORK_BUDGET``).  The
+    result always contains the identity (checked).  Its closure is proved
+    where it is used: ``partition_orbits`` runs ``_generators`` on it.
     """
     n = sigma.width
     if n > cap:
@@ -289,17 +293,8 @@ def symmetry_group(
     found: list[tuple[int, ...]] = []
     _extend_images([], [0] * len(sigma.members), columns, profiles, found, 0)
     found.sort()
-
-    group = set(found)
-    if tuple(range(n)) not in group:
+    if found[:1] != [tuple(range(n))]:  # the identity sorts first
         raise RuntimeError("symmetry search lost the identity")
-    for g in found:
-        inverse = [0] * n
-        for i, gi in enumerate(g):
-            inverse[gi] = i
-        if tuple(inverse) not in group:
-            raise RuntimeError("symmetry result not closed under inverse")
-    _generators(found)
     return found
 
 
@@ -364,13 +359,6 @@ def partition_orbits(
         for image, g in _schreier_tree(rep, gens).items():
             out[image] = (rep, g)
     return out
-
-
-def canonical_representative(
-    part: Partition, group: Iterable[Sequence[int]]
-) -> Partition:
-    """Lexicographically smallest image of the partition under the group."""
-    return partition_orbits([part], group)[part][0]
 
 
 def orbit_representatives(

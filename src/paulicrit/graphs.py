@@ -22,6 +22,9 @@ from .pauli import OperatorSet
 
 CLIQUE_VERTEX_CAP = 128
 COLOR_VERTEX_CAP = 64
+# Exporting a graph costs time and memory quadratic in its vertex count:
+# 7.0 s and 426 MB at 2048 vertices, 14.9 s and 891 MB at 3000.
+GRAPH_VERTEX_CAP = 2048
 
 _FOLDS = tuple(np.uint64(shift) for shift in (32, 16, 8, 4, 2, 1))
 _BAND_WORDS = 1 << 20  # 8 MB per temporary of the banded overlap matrix
@@ -191,48 +194,33 @@ def _greedy_color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]
 
 def _clique_number(adj: tuple[int, ...], n: int) -> int:
     """Branch and bound with greedy colouring upper bounds."""
-    return _grow_clique(adj, 0, (1 << n) - 1, 0) if n else 0
+    return _grow_clique(adj, 0, (1 << n) - 1, 0, n) if n else 0
 
 
-def _grow_clique(adj: tuple[int, ...], size: int, cand: int, best: int) -> int:
-    """Largest of ``best`` and size + the clique number of ``cand``."""
+def _grow_clique(
+    adj: tuple[int, ...], size: int, cand: int, best: int, goal: int
+) -> int:
+    """Largest of ``best`` and size + the clique number of ``cand``; the
+    search returns as soon as that value reaches ``goal``."""
     order = _greedy_color_order(adj, cand)
     local = cand
     for v, colour in reversed(order):
         if size + colour <= best:
             return best
         nxt = local & adj[v]
-        if nxt:
-            best = _grow_clique(adj, size + 1, nxt, best)
+        if nxt and size + 1 < goal:
+            best = _grow_clique(adj, size + 1, nxt, best, goal)
         elif size + 1 > best:
             best = size + 1
+        if best >= goal:
+            return best
         local &= ~(1 << v)
     return best
 
 
 def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
     """Does the candidate bitmask contain a clique of size k?"""
-    if k <= 0:
-        return True
-    if cand.bit_count() < k:
-        return False
-    return _reaches_clique(adj, 0, cand, k)
-
-
-def _reaches_clique(adj: tuple[int, ...], size: int, cand: int, k: int) -> bool:
-    """Does ``cand`` hold a clique of size k - size?"""
-    order = _greedy_color_order(adj, cand)
-    local = cand
-    for v, colour in reversed(order):
-        if size + colour < k:
-            return False
-        if size + 1 >= k:
-            return True
-        nxt = local & adj[v]
-        if nxt and _reaches_clique(adj, size + 1, nxt, k):
-            return True
-        local &= ~(1 << v)
-    return False
+    return k <= 0 or _grow_clique(adj, 0, cand, k - 1, k) >= k
 
 
 def check_clique_cap(n: int, cap: int = CLIQUE_VERTEX_CAP) -> None:
@@ -289,23 +277,28 @@ def independence_number(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
     return result
 
 
+def _dsatur_pick(adj: tuple[int, ...], colours: list[int]) -> tuple[int, set[int]]:
+    """The uncoloured vertex of largest saturation (ties: degree, then
+    smallest index) and the colours of its neighbours."""
+    pick = -1
+    pick_key = (-1, -1, 1)
+    for v, colour in enumerate(colours):
+        if colour >= 0:
+            continue
+        sat = len({colours[u] for u in _neighbours(adj, v) if colours[u] >= 0})
+        key = (sat, adj[v].bit_count(), -v)
+        if key > pick_key:
+            pick_key = key
+            pick = v
+    banned = {colours[u] for u in _neighbours(adj, pick) if colours[u] >= 0}
+    return pick, banned
+
+
 def _greedy_coloring(adj: tuple[int, ...], n: int) -> list[int]:
     """Saturation-guided greedy proper colouring; deterministic."""
     colours = [-1] * n
     for _ in range(n):
-        pick = -1
-        pick_key = (-1, -1, 1)
-        for v in range(n):
-            if colours[v] >= 0:
-                continue
-            sat = len(
-                {colours[u] for u in _neighbours(adj, v) if colours[u] >= 0}
-            )
-            key = (sat, adj[v].bit_count(), -v)
-            if key > pick_key:
-                pick_key = key
-                pick = v
-        banned = {colours[u] for u in _neighbours(adj, pick) if colours[u] >= 0}
+        pick, banned = _dsatur_pick(adj, colours)
         c = 0
         while c in banned:
             c += 1
@@ -331,20 +324,9 @@ def _assign_colours(
     adj: tuple[int, ...], colours: list[int], k: int, done: int, palette: int
 ) -> bool:
     """Extend a partial colouring (-1 = uncoloured) to k colours, in place."""
-    n = len(colours)
-    if done == n:
+    if done == len(colours):
         return True
-    pick = -1
-    pick_key = (-1, -1, 1)
-    for v in range(n):
-        if colours[v] >= 0:
-            continue
-        sat = len({colours[u] for u in _neighbours(adj, v) if colours[u] >= 0})
-        key = (sat, adj[v].bit_count(), -v)
-        if key > pick_key:
-            pick_key = key
-            pick = v
-    banned = {colours[u] for u in _neighbours(adj, pick) if colours[u] >= 0}
+    pick, banned = _dsatur_pick(adj, colours)
     # At most one brand-new colour may be opened, killing palette symmetry.
     for c in range(min(k, palette + 1)):
         if c in banned:

@@ -3,9 +3,9 @@
 These searches never consult the graph machinery.  The product-state
 search runs cyclic block-coordinate ascent over explicit block factors,
 each block step an exact top-eigenvector update batched over restarts;
-the global search runs a safeguarded self-consistent iteration on the
-full state vector.  Agreement between an oracle maximum and a clique
-bound is therefore evidence for both, not circularity.
+the global search runs a monotone shifted power step on the full state
+vector.  Agreement between an oracle maximum and a clique bound is
+therefore evidence for both, not circularity.
 
 Tolerances are deliberately split: saturation (did the optimizer reach
 the bound) is judged at 1e-3, soundness (did it exceed the bound, which
@@ -35,8 +35,6 @@ PRODUCT_BLOCK_CAP = 6
 
 SATURATION_TOL = 1e-3
 SOUNDNESS_TOL = 1e-6
-
-_ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -172,9 +170,18 @@ def maximize_q_global(
 ) -> OracleResult:
     """Best criterion value over all pure states of matching width.
 
-    Self-consistent iteration: move toward sum_s <s> s|psi>, accept only
-    when Q does not decrease, otherwise fall back to a projected gradient
-    step with backtracking.  Restarts diversify the landscape.
+    Per restart, from a Haar-random start, repeat the shifted power step
+    psi <- normalise(H psi + sqrt(m Q) psi) with H = sum_s <s> s, m the
+    member count and Q the current value.  The step never lowers Q.  By
+    Cauchy-Schwarz the norm of H is at most sum_s |<s>| <= sqrt(m Q), so
+    H + sqrt(m Q) is positive semidefinite, and a power step on a positive
+    semidefinite matrix never lowers its expectation, which differs from
+    <H> by the same sqrt(m Q) on both states.  Q is convex in the density
+    matrix with gradient 2 H, so Q(psi') >= Q(psi) + 2 (<H>' - <H>) >=
+    Q(psi).  The shift also damps the negative branch of a symmetric
+    spectrum, which plain power iteration would never leave.  A restart
+    stops once its sweep gain is at most ``convergence_tol`` times
+    max(1, Q), the product search's rule.
     """
     if config is None:
         config = OracleConfig()
@@ -210,47 +217,16 @@ def maximize_q_global(
         converged = False
         for _ in range(config.max_iterations):
             steps_total += 1
-            previous = value
-            target = exps @ moved  # sum_s <s> s|psi>
-            # spectral shift: sum_s <s> s can have a symmetric spectrum, in
-            # which case plain power iteration never damps the negative
-            # branch; sqrt(m Q) dominates its norm and keeps fixed points
-            shift = float(np.sqrt(len(sigma.members) * max(value, 0.0)))
-            target = target + shift * psi
+            shift = float(np.sqrt(len(sigma.members) * value))
+            target = exps @ moved + shift * psi  # (H + sqrt(m Q)) |psi>
             tn = float(np.linalg.norm(target))
-            if tn > 1e-12:
-                cand = target / tn
-                cand_value, cand_exps, cand_moved = survey(cand)
-                if cand_value >= value:
-                    psi, value, exps, moved = cand, cand_value, cand_exps, cand_moved
-            scale = max(1.0, abs(value))
-            if value - previous > config.convergence_tol * scale:
-                continue
-            # stalled: a small sweep gain alone is no proof of a critical
-            # point, so insist the gradient is exhausted too
-            target = exps @ moved
-            grad = 4.0 * (target - value * psi)
-            gsq = float(np.vdot(grad, grad).real)
-            if gsq <= 1e-18:
+            if tn <= 1e-12:  # every <s> vanishes: a critical point
                 converged = True
                 break
-            stepped = False
-            alpha = 1.0
-            while alpha >= 1e-10:
-                cand = psi + alpha * grad
-                cand = cand / np.linalg.norm(cand)
-                cand_value, cand_exps, cand_moved = survey(cand)
-                if cand_value >= value + _ARMIJO * alpha * gsq:
-                    psi, value, exps, moved = (
-                        cand,
-                        cand_value,
-                        cand_exps,
-                        cand_moved,
-                    )
-                    stepped = True
-                    break
-                alpha *= 0.5
-            if not stepped or value - previous <= config.convergence_tol * scale:
+            previous = value
+            psi = target / tn
+            value, exps, moved = survey(psi)
+            if value - previous <= config.convergence_tol * max(1.0, value):
                 converged = True
                 break
         if value > best_value:

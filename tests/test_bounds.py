@@ -11,9 +11,7 @@ import paulicrit.cuts as cuts_module
 from paulicrit import (
     OperatorSet,
     Partition,
-    SeparabilityClass,
     assemble_product,
-    bound_for_class,
     bound_for_partition,
     classify,
     common_eigenstate,
@@ -26,7 +24,6 @@ from paulicrit import (
     named_state,
     parse_partition,
     parse_pauli,
-    quantum_bounds,
     restrict,
 )
 
@@ -71,39 +68,10 @@ def test_two_three_cut_bound_is_attained(sigma15):
     assert bound_for_partition(sigma15, part)[0] == 3
 
 
-def test_bound_for_class(sigma3, sigma15):
-    full = SeparabilityClass.full_separability()
-    any_bip = SeparabilityClass.any_bipartition()
-    assert bound_for_class(sigma3, full) == 1
-    assert bound_for_class(sigma3, any_bip) == 2
-    assert bound_for_class(sigma15, full) == 1
-    assert bound_for_class(sigma15, any_bip) == 3
-
-
-def test_bound_for_class_explicit(sigma15):
-    cls = SeparabilityClass.explicit(parse_partition("A|BCDE", 5))
-    assert bound_for_class(sigma15, cls) == 3
-    with pytest.raises(ValueError):
-        SeparabilityClass.explicit()
-    wrong_width = SeparabilityClass.explicit(parse_partition("A|B", 2))
-    with pytest.raises(ValueError):
-        bound_for_class(sigma15, wrong_width)
-
-
-def test_quantum_bounds(sigma3, sigma15):
-    assert quantum_bounds(sigma3) == (4, 4)
-    assert quantum_bounds(sigma15) == (5, 5)
-    pair = OperatorSet.from_strings(["zz", "xx"])
-    assert quantum_bounds(pair) == (2, 2)
-    single = OperatorSet.from_strings(["zz"])
-    assert quantum_bounds(single) == (1, 1)
-    assert quantum_bounds(sigma3, coloring=False) == (4, None)
-
-
 def test_single_block_bound_equals_quantum_lower(sigma3, sigma15):
     for sigma in (sigma3, sigma15):
         direct = bound_for_partition(sigma, Partition.single_block(sigma.width))[0]
-        assert direct == quantum_bounds(sigma, coloring=False)[0]
+        assert direct == criteria_report(sigma).quantum_lower
 
 
 def test_criteria_report_three_qubit(sigma3):
@@ -126,6 +94,7 @@ def test_criteria_report_five_qubit(sigma15):
     assert report.class_bounds == {"full_separability": 1, "any_bipartition": 3}
     assert report.quantum_lower == 5
     assert report.quantum_upper is None
+    assert criteria_report(sigma15, quantum_upper=True).quantum_upper == 5
     assert set(report.quantum_witness) == {
         "1zxxz",
         "xxz1z",
@@ -161,6 +130,12 @@ def test_criteria_report_two_qubit_pair():
     assert report.quantum_upper == 2
     # at width 2 the finest partition is the one bipartition
     assert len(report.per_partition) == 1
+
+
+def test_criteria_report_one_string():
+    report = criteria_report(OperatorSet.from_strings(["zz"]), quantum_upper=True)
+    assert (report.quantum_lower, report.quantum_upper) == (1, 1)
+    assert report.class_bounds == {"full_separability": 1, "any_bipartition": 1}
 
 
 def test_criteria_report_single_qubit():
@@ -275,10 +250,10 @@ def test_verdict_json(sigma3):
 
 
 def test_criteria_report_notes_the_cap_that_tripped(sigma15, monkeypatch):
-    monkeypatch.setattr(cuts_module, "SYMMETRY_NODE_CAP", 10)
+    monkeypatch.setattr(cuts_module, "SYMMETRY_WORK_BUDGET", 10)
     report = criteria_report(sigma15)
     assert any(
-        "identity group used" in note and "node cap 10" in note
+        "identity group used" in note and "work budget 10" in note
         for note in report.notes
     )
     assert any("16 partitions in 16 orbits" in note for note in report.notes)
@@ -293,8 +268,8 @@ def test_searches_leave_no_reference_cycles(sigma15, monkeypatch):
     try:
         criteria_report(sigma15)
         assert chromatic_number(five_cycle)[0] == 3  # probes k = 2 and fails
-        # the symmetry search stopped by its node cap: the exception path
-        monkeypatch.setattr(cuts_module, "SYMMETRY_NODE_CAP", 10)
+        # the symmetry search stopped by its work budget: the exception path
+        monkeypatch.setattr(cuts_module, "SYMMETRY_WORK_BUDGET", 10)
         criteria_report(sigma15)
         gc.collect()
         leaked = sorted(

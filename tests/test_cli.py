@@ -1,6 +1,7 @@
 """Command line behavior: outputs, exit codes, and file handling."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def pair_file(tmp_path):
 
 
 def test_generate_cp_writes_expansion(sigma15_file):
-    lines = open(sigma15_file).read().splitlines()
+    lines = Path(sigma15_file).read_text().splitlines()
     assert len(lines) == 15
     assert lines[0] == "1xxxz"
     assert "z1zxx" in lines
@@ -190,6 +191,24 @@ def test_graph_cut_on_wide_set(tmp_path, capsys):
         for j in range(i + 1, 12)
         if cut_commute(sigma[i], sigma[j], part)
     ]
+
+
+def test_graph_export_vertex_cap(tmp_path, capsys, monkeypatch):
+    import paulicrit.cli as cli_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("graph built for an oversized export")
+
+    monkeypatch.setattr(cli_module, "build_graph", forbidden)
+    letters = "1xyz"
+    texts = [
+        "".join(letters[(k >> (2 * i)) & 3] for i in range(6)) for k in range(1, 2050)
+    ]
+    path = tmp_path / "big.txt"
+    path.write_text("\n".join(texts) + "\n")
+    assert main(["graph", str(path), "--json"]) == 3
+    err = capsys.readouterr().err
+    assert "graph export on 2049 vertices exceeds cap 2048" in err
 
 
 def test_graph_output_file(sigma3_file, tmp_path):

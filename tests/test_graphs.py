@@ -28,6 +28,7 @@ from paulicrit import (
     parse_pauli,
     restrict,
 )
+from paulicrit.graphs import _has_clique
 
 
 def brute_clique_number(g):
@@ -197,6 +198,23 @@ def test_max_clique_matches_brute_force():
         assert len(result.witness) == result.size
         for i, j in itertools.combinations(result.witness, 2):
             assert g.has_edge(i, j)
+
+
+def test_has_clique_matches_brute_force():
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        n = int(rng.integers(1, 11))
+        g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.8)))
+        cand = int(rng.integers(0, 1 << n))
+        sub = [v for v in range(n) if cand >> v & 1]
+        omega = max(
+            r
+            for r in range(len(sub) + 1)
+            for comb in itertools.combinations(sub, r)
+            if all(g.has_edge(i, j) for i, j in itertools.combinations(comb, 2))
+        )
+        for k in range(omega + 2):
+            assert _has_clique(g.adjacency, cand, k) == (k <= omega)
 
 
 def test_max_clique_deterministic():
