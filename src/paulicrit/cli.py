@@ -22,7 +22,7 @@ from .cuts import (
 )
 from .errors import CapExceeded, ParseError
 from .graphs import GRAPH_VERTEX_CAP, build_graph, export_dot, max_clique
-from .oracle import OracleConfig, verify_bound
+from .oracle import OracleConfig, check_work_budget, verify_bound
 from .pauli import OperatorSet, cp_expand, parse_pauli
 from .states import common_eigenstate, evaluate_q, load_state, state_to_json_obj
 
@@ -75,7 +75,9 @@ def _verification_partitions(sigma: OperatorSet) -> list[Partition]:
 
 
 def _verification_rows(records) -> list[str]:
-    rows = [("partition", "graph_bound", "oracle_value", "gap", "saturated")]
+    rows = [
+        ("partition", "graph_bound", "oracle_value", "gap", "saturated", "converged")
+    ]
     for rec in records:
         status = "yes" if rec.saturated else "no"
         if rec.violation:
@@ -87,22 +89,22 @@ def _verification_rows(records) -> list[str]:
                 f"{rec.oracle_value:.9f}",
                 f"{rec.gap:.9f}",
                 status,
+                "yes" if rec.converged else "no",
             )
         )
     return _format_table(rows)
 
 
-def _verification_records(sigma: OperatorSet, args) -> list:
-    """Oracle check of the finest partition and every bipartition orbit."""
+def _verification_records(sigma: OperatorSet, parts: list[Partition], args) -> list:
+    """Oracle check of each partition, refused before any search when the
+    partitions together exceed the oracle's work budget."""
     config = OracleConfig(
         restarts=args.restarts,
         max_iterations=args.max_iterations,
         seed=args.seed,
     )
-    return [
-        verify_bound(sigma, part, config)
-        for part in _verification_partitions(sigma)
-    ]
+    check_work_budget(sigma, parts, config)
+    return [verify_bound(sigma, part, config) for part in parts]
 
 
 def _verification_exit(records) -> int:
@@ -130,7 +132,14 @@ def cmd_bounds(args) -> int:
         clique_cap=args.clique_cap,
         color_cap=args.color_cap,
     )
-    records = _verification_records(sigma, args) if args.verify else None
+    records = None
+    if args.verify:
+        # the finest partition plus the report's orbit representatives, so
+        # the symmetry search runs once
+        finest = Partition.finest(sigma.width)
+        reps = sorted({row.orbit for row in report.per_partition.values()})
+        parts = [finest] + [rep for rep in reps if rep != finest]
+        records = _verification_records(sigma, parts, args)
     if args.json:
         obj = report.to_json_obj()
         if records is not None:
@@ -207,7 +216,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     sigma = _load_sigma(args.sigma)
-    records = _verification_records(sigma, args)
+    records = _verification_records(sigma, _verification_partitions(sigma), args)
     if args.json:
         print(json.dumps([rec.to_json_obj() for rec in records], indent=2))
     else:

@@ -1,11 +1,16 @@
 """Independent numerical maximization of the criterion value.
 
-These searches never consult the graph machinery.  The product-state
-search runs cyclic block-coordinate ascent over explicit block factors,
-each block step an exact top-eigenvector update batched over restarts;
-the global search runs a monotone shifted power step on the full state
-vector.  Agreement between an oracle maximum and a clique bound is
-therefore evidence for both, not circularity.
+These searches never consult the graph machinery.  One search serves
+both questions: restarted block-coordinate ascent over pure states
+product across a partition, each block step a monotone shifted power
+step applied matrix-free through the members' (flip, phase) actions on
+the block.  The unconstrained maximum is the one-block case.  Agreement
+between an oracle maximum and a clique bound is therefore evidence for
+both, not circularity.
+
+One work budget, checked before any search, bounds the amplitudes a
+sweep touches: restarts x members x the summed block dimensions, summed
+over the partitions a call or command will search.
 
 Tolerances are deliberately split: saturation (did the optimizer reach
 the bound) is judged at 1e-3, soundness (did it exceed the bound, which
@@ -15,13 +20,14 @@ must never happen) at 1e-6.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import bound_for_partition
 from .cuts import Partition
 from .errors import CapExceeded
-from .pauli import OperatorSet, restrict, to_matrix
+from .pauli import OperatorSet, restrict
 from .states import (
     PURE_QUBIT_CAP,
     QuantumState,
@@ -30,8 +36,8 @@ from .states import (
     pauli_action,
 )
 
-GLOBAL_QUBIT_CAP = 10
-PRODUCT_BLOCK_CAP = 6
+ORACLE_WORK_BUDGET = 8_000_000
+_BATCH_AMPLITUDES = 1 << 18
 
 SATURATION_TOL = 1e-3
 SOUNDNESS_TOL = 1e-6
@@ -65,8 +71,8 @@ class OracleResult:
 
     ``converged`` reports whether the winning restart met the convergence
     tolerance before exhausting its iteration budget; ``iterations_used``
-    is the sum over restarts of the sweeps each restart ran (for the
-    product search, one sweep is one eigenvector step on every block).
+    is the sum over restarts of the sweeps each restart ran (one sweep is
+    one power step on every block).
     """
 
     best_value: float
@@ -75,17 +81,107 @@ class OracleResult:
     converged: bool
 
 
+def check_work_budget(
+    sigma: OperatorSet, parts: Sequence[Partition], config: OracleConfig
+) -> None:
+    """Raise CapExceeded when restarts x members x the summed 2^|block|
+    over ``parts`` exceeds ``ORACLE_WORK_BUDGET``."""
+    dims = sum(sum(1 << len(block) for block in part.blocks) for part in parts)
+    work = config.restarts * len(sigma) * dims
+    if work > ORACLE_WORK_BUDGET:
+        raise CapExceeded(
+            f"oracle search over {len(parts)} partitions charges {work}, "
+            f"over work budget {ORACLE_WORK_BUDGET}"
+        )
+
+
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def _expectations(mats: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row r holds <u_r|A_s|u_r> for every member s (real parts)."""
-    member_count, dim = mats.shape[0], mats.shape[1]
-    flat = mats.reshape(member_count * dim, dim)
-    moved = (u @ flat.T).reshape(-1, member_count, dim)  # A_s u_r
-    return np.einsum("rsi,ri->rs", moved, u.conj()).real
+def _block_action(
+    sigma: OperatorSet, block: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and phases of every member restricted to the block:
+    (s_b psi)[r, k, i] = phases[k, i] * psi[r, perms[k, i]]."""
+    idx = np.arange(1 << len(block))
+    perms = np.empty((len(sigma), idx.size), dtype=np.int64)
+    phases = np.empty((len(sigma), idx.size), dtype=complex)
+    for k, member in enumerate(sigma.members):
+        flip, phases[k] = pauli_action(restrict(member, block))
+        perms[k] = idx ^ flip
+    return perms, phases
+
+
+def _survey(
+    action: tuple[np.ndarray, np.ndarray], psi: np.ndarray, moved: np.ndarray
+) -> np.ndarray:
+    """Fill moved[r, k] with s_k psi_r for every restart row r and member k,
+    and return the expectations <s_k>_r.  A restart wider than
+    _BATCH_AMPLITUDES goes in chunks of members, each multiplied and
+    reduced while it is in cache."""
+    perms, phases = action
+    exps = np.empty(moved.shape[:2])
+    bra = psi.conj()[:, :, None]
+    step = max(1, _BATCH_AMPLITUDES // psi.size)
+    for k in range(0, len(perms), step):
+        chunk = moved[:, k : k + step]
+        # the indices are in range; "clip" lets take write into out unbuffered
+        np.take(psi, perms[k : k + step], axis=1, out=chunk, mode="clip")
+        chunk *= phases[k : k + step]
+        exps[:, k : k + step] = (chunk @ bra)[:, :, 0].real
+    return exps
+
+
+def _ascend(
+    actions: list[tuple[np.ndarray, np.ndarray]],
+    draws: list[list[np.ndarray]],
+    config: OracleConfig,
+) -> tuple[float, list[np.ndarray], int, bool]:
+    """Block-coordinate ascent on one batch of restarts: the best restart's
+    value, factors and converged flag, and the batch's total sweeps."""
+    factors = [np.stack([d[bi] for d in draws]) for bi in range(len(actions))]
+    moved = [
+        np.empty((len(draws), len(perms), f.shape[1]), dtype=complex)
+        for (perms, _), f in zip(actions, factors)
+    ]
+    exps = np.stack([_survey(a, f, m) for a, f, m in zip(actions, factors, moved)])
+    values = np.sum(np.prod(exps, axis=0) ** 2, axis=1)
+    sweeps = np.zeros(len(draws), dtype=np.int64)
+    converged = np.zeros(len(draws), dtype=bool)
+
+    # moved and exps hold the active restarts only; rows maps them back
+    rows = np.arange(len(draws))
+    for _ in range(config.max_iterations):
+        if rows.size == 0:
+            break
+        sweeps[rows] += 1
+        for bi, action in enumerate(actions):
+            others = np.prod(np.delete(exps, bi, axis=0), axis=0)
+            coeffs = others * others * exps[bi]
+            psi = factors[bi][rows]
+            target = (coeffs[:, None, :] @ moved[bi])[:, 0]
+            target += np.abs(coeffs).sum(axis=1)[:, None] * psi
+            norms = np.linalg.norm(target, axis=1)
+            # every coefficient vanishes only where Q = 0, a critical point
+            stuck = norms <= 1e-12
+            target[stuck], norms[stuck] = psi[stuck], 1.0
+            psi = target / norms[:, None]
+            factors[bi][rows] = psi
+            exps[bi] = _survey(action, psi, moved[bi])
+        new_values = np.sum(np.prod(exps, axis=0) ** 2, axis=1)
+        gain = new_values - values[rows]
+        values[rows] = new_values
+        done = gain <= config.convergence_tol * np.maximum(1.0, np.abs(new_values))
+        if done.any():
+            converged[rows[done]] = True
+            rows, exps = rows[~done], exps[:, ~done]
+            moved = [m[~done] for m in moved]
+
+    best = int(np.argmax(values))
+    best_factors = [f[best] for f in factors]
+    return float(values[best]), best_factors, int(sweeps.sum()), bool(converged[best])
 
 
 def maximize_q_product(
@@ -95,15 +191,24 @@ def maximize_q_product(
 
     Per restart: draw one Haar-random factor per block, then sweep the
     blocks cyclically.  A block step holds the other blocks fixed and
-    replaces the factor by the top eigenvector of H_b = sum_s w_s <s_b> s_b,
-    where w_s is the product of the squared expectations on the other
-    blocks.  The step never lowers Q: in the block's density matrix rho,
+    applies the shifted power step psi_b <- normalise(H_b psi_b + c psi_b),
+    with H_b = sum_s w_s <s_b> s_b, w_s the product of the squared
+    expectations on the other blocks, and c = sum_s |w_s <s_b>|.
+
+    The step never lowers Q.  Every s_b has norm 1, so the norm of H_b is
+    at most c and A = H_b + c is positive semidefinite.  A power step on a
+    positive semidefinite A never lowers <A>: over the spectral measure of
+    psi_b, E[l^3] >= E[l^2] E[l] for l >= 0, and <A> differs from <H_b> by
+    the same c on both states.  In the block's density matrix rho,
     Q(rho) = sum_s w_s tr(rho s_b)^2 is convex with gradient 2 H_b, so
-    Q(rho') >= Q(rho) + 2 tr((rho' - rho) H_b) >= Q(rho) when rho'
-    projects onto the top eigenvector of H_b.  The step needs no step size,
-    so all restarts move together through one stacked ``eigh`` per block;
-    a restart leaves the batch once its sweep gain drops below the
-    convergence tolerance.
+    Q(rho') >= Q(rho) + 2 tr((rho' - rho) H_b) >= Q(rho).  The shift also
+    damps the negative branch of a symmetric spectrum, which plain power
+    iteration would never leave.
+
+    The step needs no step size, so restarts move together, in batches
+    that cache at most _BATCH_AMPLITUDES amplitudes s_b psi_b where a
+    restart allows; a restart leaves its batch once its sweep gain is at
+    most ``convergence_tol`` times max(1, Q).
     """
     if config is None:
         config = OracleConfig()
@@ -115,17 +220,10 @@ def maximize_q_product(
         raise CapExceeded(
             f"product search on width {sigma.width} exceeds cap {PURE_QUBIT_CAP}"
         )
-    for block in part.blocks:
-        if len(block) > PRODUCT_BLOCK_CAP:
-            raise CapExceeded(
-                f"block {block} exceeds size cap {PRODUCT_BLOCK_CAP}"
-            )
+    check_work_budget(sigma, [part], config)
 
     blocks = part.blocks
-    mats = [
-        np.stack([to_matrix(restrict(s, block)) for s in sigma.members])
-        for block in blocks
-    ]
+    actions = [_block_action(sigma, block) for block in blocks]
     rng = np.random.default_rng(config.seed)
     # drawn restart by restart, block by block, so restart r starts from
     # the same factors whatever the restart count
@@ -133,116 +231,34 @@ def maximize_q_product(
         [_random_unit(rng, 1 << len(b)) for b in blocks]
         for _ in range(config.restarts)
     ]
-    factors = [np.stack([d[bi] for d in draws]) for bi in range(len(blocks))]
-    exps = np.stack([_expectations(m, f) for m, f in zip(mats, factors)])
-    values = np.sum(np.prod(exps, axis=0) ** 2, axis=1)
-    sweeps = np.zeros(config.restarts, dtype=np.int64)
-    converged = np.zeros(config.restarts, dtype=bool)
+    per_restart = len(sigma) * sum(1 << len(b) for b in blocks)
+    size = max(1, _BATCH_AMPLITUDES // per_restart)
+    runs = [
+        _ascend(actions, draws[start : start + size], config)
+        for start in range(0, config.restarts, size)
+    ]
+    # max keeps the first of equal values, so ties go to the lowest restart
+    _, best_factors, _, best_converged = max(runs, key=lambda run: run[0])
+    sweeps = sum(run[2] for run in runs)
 
-    active = np.arange(config.restarts)
-    for _ in range(config.max_iterations):
-        if active.size == 0:
-            break
-        sweeps[active] += 1
-        for bi, m in enumerate(mats):
-            others = np.prod(np.delete(exps[:, active], bi, axis=0), axis=0)
-            coeffs = others * others * exps[bi, active]
-            dim = m.shape[1]
-            h = (coeffs @ m.reshape(len(m), dim * dim)).reshape(-1, dim, dim)
-            top = np.linalg.eigh(h)[1][:, :, -1]
-            factors[bi][active] = top
-            exps[bi, active] = _expectations(m, top)
-        new_values = np.sum(np.prod(exps[:, active], axis=0) ** 2, axis=1)
-        gain = new_values - values[active]
-        values[active] = new_values
-        done = gain <= config.convergence_tol * np.maximum(1.0, np.abs(new_values))
-        converged[active[done]] = True
-        active = active[~done]
-
-    best = int(np.argmax(values))
-    state = assemble_product(part, [f[best] for f in factors])
+    state = assemble_product(part, best_factors)
     final = evaluate_q(state, sigma).value
-    return OracleResult(final, state, int(sweeps.sum()), bool(converged[best]))
+    return OracleResult(final, state, sweeps, best_converged)
 
 
 def maximize_q_global(
     sigma: OperatorSet, config: OracleConfig | None = None
 ) -> OracleResult:
-    """Best criterion value over all pure states of matching width.
-
-    Per restart, from a Haar-random start, repeat the shifted power step
-    psi <- normalise(H psi + sqrt(m Q) psi) with H = sum_s <s> s, m the
-    member count and Q the current value.  The step never lowers Q.  By
-    Cauchy-Schwarz the norm of H is at most sum_s |<s>| <= sqrt(m Q), so
-    H + sqrt(m Q) is positive semidefinite, and a power step on a positive
-    semidefinite matrix never lowers its expectation, which differs from
-    <H> by the same sqrt(m Q) on both states.  Q is convex in the density
-    matrix with gradient 2 H, so Q(psi') >= Q(psi) + 2 (<H>' - <H>) >=
-    Q(psi).  The shift also damps the negative branch of a symmetric
-    spectrum, which plain power iteration would never leave.  A restart
-    stops once its sweep gain is at most ``convergence_tol`` times
-    max(1, Q), the product search's rule.
-    """
-    if config is None:
-        config = OracleConfig()
-    width = sigma.width
-    if width > GLOBAL_QUBIT_CAP:
-        raise CapExceeded(
-            f"global search on width {width} exceeds cap {GLOBAL_QUBIT_CAP}"
-        )
-    dim = 1 << width
-
-    idx = np.arange(dim)
-    perms = np.empty((len(sigma), dim), dtype=np.int64)
-    phases = np.empty((len(sigma), dim), dtype=complex)
-    for k, member in enumerate(sigma.members):
-        flip, phase = pauli_action(member)
-        perms[k] = idx ^ flip
-        phases[k] = phase
-
-    def survey(psi: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        moved = phases * psi[perms]  # row k holds s_k |psi>
-        exps = (moved @ psi.conj()).real
-        return float(np.sum(exps * exps)), exps, moved
-
-    rng = np.random.default_rng(config.seed)
-    best_value = -1.0
-    best_vec: np.ndarray | None = None
-    best_converged = False
-    steps_total = 0
-
-    for _ in range(config.restarts):
-        psi = _random_unit(rng, dim)
-        value, exps, moved = survey(psi)
-        converged = False
-        for _ in range(config.max_iterations):
-            steps_total += 1
-            shift = float(np.sqrt(len(sigma.members) * value))
-            target = exps @ moved + shift * psi  # (H + sqrt(m Q)) |psi>
-            tn = float(np.linalg.norm(target))
-            if tn <= 1e-12:  # every <s> vanishes: a critical point
-                converged = True
-                break
-            previous = value
-            psi = target / tn
-            value, exps, moved = survey(psi)
-            if value - previous <= config.convergence_tol * max(1.0, value):
-                converged = True
-                break
-        if value > best_value:
-            best_value = value
-            best_vec = psi.copy()
-            best_converged = converged
-
-    assert best_vec is not None
-    state = QuantumState.pure(best_vec)
-    final = evaluate_q(state, sigma).value
-    return OracleResult(final, state, steps_total, best_converged)
+    """Best criterion value over all pure states of matching width: the
+    product search on the one-block partition."""
+    return maximize_q_product(sigma, Partition.single_block(sigma.width), config)
 
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """Graph bound vs oracle maximum for one partition."""
+    """Graph bound vs oracle maximum for one partition.  ``converged`` is
+    the oracle's flag for its winning restart, so an unsaturated row can be
+    told apart from a search cut short by the sweep budget."""
 
     partition: Partition
     graph_bound: int
@@ -250,6 +266,7 @@ class VerificationRecord:
     gap: float
     saturated: bool
     violation: bool
+    converged: bool
 
     def to_json_obj(self) -> dict:
         return {
@@ -259,6 +276,7 @@ class VerificationRecord:
             "gap": self.gap,
             "saturated": self.saturated,
             "violation": self.violation,
+            "converged": self.converged,
         }
 
 
@@ -281,4 +299,5 @@ def verify_bound(
         gap=gap,
         saturated=gap <= SATURATION_TOL,
         violation=result.best_value > bound + SOUNDNESS_TOL,
+        converged=result.converged,
     )

@@ -294,6 +294,7 @@ def test_verify_table(pair_file, capsys):
         "oracle_value",
         "gap",
         "saturated",
+        "converged",
     ]
     assert len(out) == 2
     assert out[1].startswith("A|B")
@@ -319,12 +320,83 @@ def test_verify_reports_violation(pair_file, capsys, monkeypatch):
         gap=-0.5,
         saturated=True,
         violation=True,
+        converged=True,
     )
     monkeypatch.setattr(cli_module, "verify_bound", lambda *a, **k: fake)
     assert main(["verify", pair_file]) == 1
     captured = capsys.readouterr()
     assert "VIOLATION" in captured.out
     assert "error:" in captured.err
+
+
+WIDTH8 = (
+    "11zz1zzx 1x1zz1yy 1xxzzxzx 1yxyzz1z 1zxyz1z1 1zxzy1y1 1zyyxz11 1zzxyyy1 "
+    "x1xzzzxz xx1yzy1z xz1xz11x z1xyx1yy zx11y1z1 zxyzy1xz zyxx1yxy zyxxxyzy"
+)
+
+
+@pytest.fixture()
+def width8_file(tmp_path):
+    # random_set(8, 16, 2) of bench/reference.py: no symmetry, so every
+    # bipartition is its own orbit, and A|BCDEFGH has a 7-qubit block
+    path = tmp_path / "width8.txt"
+    path.write_text("\n".join(WIDTH8.split()) + "\n")
+    return str(path)
+
+
+def test_verify_width_eight(width8_file, capsys):
+    assert main(["verify", width8_file, "--restarts", "4", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 128
+    assert rows[0]["partition"] == "A|B|C|D|E|F|G|H"
+    assert "A|BCDEFGH" in {row["partition"] for row in rows}
+    assert not any(row["violation"] for row in rows)
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_over_budget_verify_fails_before_any_search(
+    command, width8_file, capsys, monkeypatch
+):
+    import paulicrit.oracle as oracle_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle search ran over the work budget")
+
+    monkeypatch.setattr(oracle_module, "maximize_q_product", forbidden)
+    # 128 restarts charge 128 * 16 * 6320 on the width-8 set's 128 partitions
+    argv = [command, width8_file, "--restarts", "128"]
+    if command == "bounds":
+        argv.append("--verify")
+    assert main(argv) == 3
+    assert "work budget" in capsys.readouterr().err
+
+
+def test_bounds_verify_runs_one_symmetry_search(sigma15_file, capsys, monkeypatch):
+    import paulicrit.bounds as bounds_module
+    import paulicrit.cli as cli_module
+
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        bounds_module, "symmetry_group", counted(bounds_module.symmetry_group)
+    )
+    monkeypatch.setattr(cli_module, "symmetry_group", counted(cli_module.symmetry_group))
+    flags = ["--json", "--restarts", "4", "--seed", "3"]
+    assert main(["bounds", sigma15_file, "--verify", *flags]) == 0
+    assert len(calls) == 1
+    rows = json.loads(capsys.readouterr().out)["verification"]
+    assert main(["verify", sigma15_file, *flags]) == 0
+    assert rows == json.loads(capsys.readouterr().out)
+    assert [row["partition"] for row in rows] == [
+        "A|B|C|D|E", "A|BCDE", "AB|CDE", "ABD|CE"
+    ]
 
 
 def test_generate_clique_state_chain(sigma15_file, tmp_path, capsys):

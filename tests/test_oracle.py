@@ -18,8 +18,16 @@ from paulicrit import (
     parse_partition,
     verify_bound,
 )
+from paulicrit.oracle import ORACLE_WORK_BUDGET, check_work_budget
 
 FAST = OracleConfig(restarts=8, seed=1)
+
+# random_set(8, 16, 2) of bench/reference.py: its A|BCDEFGH cut has a
+# 7-qubit block
+WIDTH8 = OperatorSet.from_strings(
+    "11zz1zzx 1x1zz1yy 1xxzzxzx 1yxyzz1z 1zxyz1z1 1zxzy1y1 1zyyxz11 1zzxyyy1 "
+    "x1xzzzxz xx1yzy1z xz1xz11x z1xyx1yy zx11y1z1 zxyzy1xz zyxx1yxy zyxxxyzy".split()
+)
 
 
 def test_config_defaults_and_validation():
@@ -74,11 +82,13 @@ def test_product_search_seed_insensitive_at_the_optimum(sigma3):
 
 
 def test_more_sweeps_never_lose_value(sigma3):
-    # both searches take monotone steps, so a longer budget never ends lower
+    # every block step is monotone, so a longer budget never ends lower
     part = parse_partition("A|BC", 3)
+    wide = parse_partition("A|BCDEFGH", 8)
     searches = {
         "product": lambda config: maximize_q_product(sigma3, part, config),
         "global": lambda config: maximize_q_global(sigma3, config),
+        "width 8": lambda config: maximize_q_product(WIDTH8, wide, config),
     }
     for name, search in searches.items():
         values = [
@@ -89,15 +99,35 @@ def test_more_sweeps_never_lose_value(sigma3):
             assert later >= earlier - 1e-12, name
 
 
+def test_batches_and_chunks_leave_the_search_unchanged(sigma15, monkeypatch):
+    import paulicrit.oracle as oracle_module
+
+    part = parse_partition("AB|CDE", 5)
+    whole = maximize_q_product(sigma15, part, FAST)
+    # one restart per batch, and block CDE's 15 members in chunks of 8
+    monkeypatch.setattr(oracle_module, "_BATCH_AMPLITUDES", 64)
+    split = maximize_q_product(sigma15, part, FAST)
+    assert split.best_value == pytest.approx(whole.best_value, abs=1e-9)
+    assert np.allclose(split.best_state.data, whole.best_state.data, atol=1e-9)
+
+
 def test_product_search_caps_and_mismatch(sigma3):
     with pytest.raises(ValueError):
         maximize_q_product(sigma3, Partition.finest(4), FAST)
     wide = OperatorSet.from_strings(["z" * 13])
     with pytest.raises(CapExceeded):
         maximize_q_product(wide, Partition.finest(13), FAST)
+    # block size is limited by the work budget alone: restarts x members x
+    # the summed block dimensions
     block7 = OperatorSet.from_strings(["z" * 7])
-    with pytest.raises(CapExceeded):
-        maximize_q_product(block7, Partition.single_block(7), FAST)
+    single = Partition.single_block(7)
+    result = maximize_q_product(block7, single, FAST)
+    assert result.best_value == pytest.approx(1.0, abs=1e-9)
+    at_budget = OracleConfig(restarts=ORACLE_WORK_BUDGET // 128)
+    check_work_budget(block7, [single], at_budget)
+    over = OracleConfig(restarts=ORACLE_WORK_BUDGET // 128 + 1)
+    with pytest.raises(CapExceeded, match="work budget"):
+        maximize_q_product(block7, single, over)
 
 
 def test_global_search_simple_sets():
@@ -127,8 +157,15 @@ def test_global_search_deterministic(sigma3):
 
 def test_global_search_cap():
     wide = OperatorSet.from_strings(["z" * 11])
-    with pytest.raises(CapExceeded):
-        maximize_q_global(wide, FAST)
+    assert maximize_q_global(wide, FAST).best_value == pytest.approx(1.0, abs=1e-9)
+    # one member more than the budget admits at 12 qubits and 64 restarts
+    count = ORACLE_WORK_BUDGET // (64 * 4096) + 1
+    zs = str.maketrans("01", "1z")
+    over = OperatorSet.from_strings(
+        [format(k, "012b").translate(zs) for k in range(1, count + 1)]
+    )
+    with pytest.raises(CapExceeded, match="work budget"):
+        maximize_q_global(over)
 
 
 def test_global_beats_any_product(sigma3):
@@ -152,6 +189,9 @@ def test_verify_bound_three_qubit(sigma3):
     assert record.graph_bound == 2
     assert record.saturated
     assert not record.violation
+    assert record.converged
+    one_sweep = OracleConfig(restarts=2, max_iterations=1)
+    assert not verify_bound(sigma3, parse_partition("A|BC", 3), one_sweep).converged
 
 
 def test_verification_record_json(sigma3):
@@ -164,6 +204,7 @@ def test_verification_record_json(sigma3):
         "gap",
         "saturated",
         "violation",
+        "converged",
     }
     assert obj["partition"] == "A|B|C"
     assert obj["graph_bound"] == 1
