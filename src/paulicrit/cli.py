@@ -87,7 +87,9 @@ def _verification_rows(records) -> list[str]:
                 str(rec.partition),
                 str(rec.graph_bound),
                 f"{rec.oracle_value:.9f}",
-                f"{rec.gap:.9f}",
+                # an exact oracle value can leave a gap of -4e-16; rounding
+                # first and adding 0.0 prints it as 0, not -0
+                f"{round(rec.gap, 9) + 0.0:.9f}",
                 status,
                 "yes" if rec.converged else "no",
             )

@@ -321,12 +321,40 @@ def test_verify_reports_violation(pair_file, capsys, monkeypatch):
         saturated=True,
         violation=True,
         converged=True,
+        sweeps=10,
     )
     monkeypatch.setattr(cli_module, "verify_bound", lambda *a, **k: fake)
     assert main(["verify", pair_file]) == 1
     captured = capsys.readouterr()
     assert "VIOLATION" in captured.out
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+def test_exact_oracle_value_prints_no_negative_zero_gap(
+    command, pair_file, capsys, monkeypatch
+):
+    import paulicrit.cli as cli_module
+    from paulicrit import Partition, VerificationRecord
+
+    exact = VerificationRecord(
+        partition=Partition.finest(2),
+        graph_bound=1,
+        oracle_value=1.0000000000000004,
+        gap=-4e-16,
+        saturated=True,
+        violation=False,
+        converged=True,
+        sweeps=12,
+    )
+    monkeypatch.setattr(cli_module, "verify_bound", lambda *a, **k: exact)
+    argv = [command, pair_file] + (["--verify"] if command == "bounds" else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "-0.000000000" not in out
+    # the verification table comes last, after any bounds table
+    row = [line for line in out.splitlines() if line.startswith("A|B ")][-1]
+    assert row.split()[3] == "0.000000000"
 
 
 WIDTH8 = (

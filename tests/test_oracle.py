@@ -18,6 +18,7 @@ from paulicrit import (
     parse_partition,
     verify_bound,
 )
+import paulicrit.oracle as oracle_module
 from paulicrit.oracle import ORACLE_WORK_BUDGET, check_work_budget
 
 FAST = OracleConfig(restarts=8, seed=1)
@@ -81,27 +82,95 @@ def test_product_search_seed_insensitive_at_the_optimum(sigma3):
     assert a.best_value == pytest.approx(b.best_value, abs=1e-6)
 
 
-def test_more_sweeps_never_lose_value(sigma3):
-    # every block step is monotone, so a longer budget never ends lower
+def test_more_sweeps_never_lose_value(sigma3, sigma15):
+    # every block step is monotone, so a longer budget never ends lower;
+    # 32 and 64 sweeps pass the switch to the exact one-qubit step
     part = parse_partition("A|BC", 3)
     wide = parse_partition("A|BCDEFGH", 8)
     searches = {
         "product": lambda config: maximize_q_product(sigma3, part, config),
         "global": lambda config: maximize_q_global(sigma3, config),
         "width 8": lambda config: maximize_q_product(WIDTH8, wide, config),
+        "eq15 finest": lambda config: maximize_q_product(
+            sigma15, Partition.finest(5), config
+        ),
+        "eq15 A|BCDE": lambda config: maximize_q_product(
+            sigma15, parse_partition("A|BCDE", 5), config
+        ),
     }
     for name, search in searches.items():
         values = [
             search(OracleConfig(restarts=2, max_iterations=n, seed=2)).best_value
-            for n in (1, 2, 4, 8)
+            for n in (1, 2, 4, 8, 32, 64)
         ]
         for earlier, later in zip(values, values[1:]):
             assert later >= earlier - 1e-12, name
 
 
-def test_batches_and_chunks_leave_the_search_unchanged(sigma15, monkeypatch):
-    import paulicrit.oracle as oracle_module
+_PAULI = np.array(
+    [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
+
+def _qubit_q(psi, weights, letters):
+    """sum_s w_s <s>^2 on one qubit from explicit Pauli matrices, with
+    <1> = 1 for a member whose letter row is all zero."""
+    bloch = np.einsum("i,jik,k->j", psi.conj(), _PAULI, psi).real
+    per_member = np.where(letters.any(axis=1), (letters @ bloch) ** 2, 1.0)
+    return float(weights @ per_member)
+
+
+def test_exact_qubit_step_is_the_block_maximum():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        members = int(rng.integers(1, 9))
+        # one-hot over (x, y, z); index 3 is the identity's zero row
+        letters = np.eye(4)[rng.integers(0, 4, size=members), :3]
+        # a product of squared expectations lies in [0, 1]
+        weights = rng.random((3, members)) ** 2
+        best = oracle_module._qubit_maximizer(weights, letters)
+        for row in range(3):
+            exact = _qubit_q(best[row], weights[row], letters)
+            m = weights[row] @ letters
+            constant = weights[row] @ (1.0 - letters.sum(axis=1))
+            assert exact == pytest.approx(constant + m.max(), abs=1e-12)
+            for _ in range(40):
+                v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                sample = _qubit_q(v / np.linalg.norm(v), weights[row], letters)
+                assert sample <= exact + 1e-12
+
+
+def test_finest_partition_settles_in_few_sweeps(sigma15):
+    # the power step alone ran 4972 sweeps here; the exact one-qubit step
+    # lands on a Bloch axis once a restart has settled
+    config = OracleConfig(restarts=10)
+    result = maximize_q_product(sigma15, Partition.finest(5), config)
+    assert result.iterations_used < 500
+    assert result.best_value == pytest.approx(1.0, abs=1e-9)
+    assert result.converged
+
+
+# random_set(6, 12, 2) of bench/reference.py
+R6S2 = OperatorSet.from_strings(
+    "11y1z1 1xz11x 1yzy1z 1zz1yy xx1yxy xxxyzy xyx1yy xyzz1z xzy1y1 yyxz11 "
+    "yzy1xz zz1zzx".split()
+)
+
+
+def test_single_restarts_reach_the_finest_maximum():
+    # 10 of 40 single restarts reach 2 with the power step alone; taking the
+    # exact step from the first sweep commits every qubit to an axis at
+    # once and reaches it in 1 of 40
+    finest = Partition.finest(6)
+    reached = sum(
+        maximize_q_product(R6S2, finest, OracleConfig(restarts=1, seed=seed)).best_value
+        >= 2 - 1e-3
+        for seed in range(40)
+    )
+    assert reached == 11
+
+
+def test_batches_and_chunks_leave_the_search_unchanged(sigma15, monkeypatch):
     part = parse_partition("AB|CDE", 5)
     whole = maximize_q_product(sigma15, part, FAST)
     # one restart per batch, and block CDE's 15 members in chunks of 8
@@ -205,6 +274,9 @@ def test_verification_record_json(sigma3):
         "saturated",
         "violation",
         "converged",
+        "sweeps",
     }
     assert obj["partition"] == "A|B|C"
     assert obj["graph_bound"] == 1
+    result = maximize_q_product(sigma3, Partition.finest(3), FAST)
+    assert obj["sweeps"] == result.iterations_used > 0
