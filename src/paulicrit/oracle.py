@@ -16,6 +16,13 @@ wider block keeps the power step throughout.  So on the finest
 partition a restart that sweeps again after settling ends on a product
 of Pauli eigenstates, where Q is an exact integer.
 
+On wider blocks the power step converges only linearly, so every two
+sweeps end in a squared extrapolation cycle (SQUAREM; Varadhan and
+Roland, Scand. J. Statist. 35, 2008) on those blocks.  The trial is
+surveyed and kept only where its exact Q is at least the value after
+the second sweep, so Q never decreases.  A trial is not a sweep:
+settling, convergence and the sweep budget count plain sweeps only.
+
 One work budget, checked before any search, bounds the amplitudes a
 sweep touches: restarts x members x the summed block dimensions, summed
 over the partitions a call or command will search.
@@ -162,6 +169,69 @@ def _qubit_maximizer(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return axes[np.argmax(weights @ letters, axis=1)]
 
 
+def _squared_trial(
+    x0: list[np.ndarray], x1: list[np.ndarray], x2: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Squared extrapolation from the factors x0, x1, x2 of some blocks
+    before, between and after two sweeps, one row per restart: with
+    r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-|r| / |v|, -1), norms
+    over all the given blocks, each block moves to
+    normalise(x0 - 2 alpha r + alpha^2 v).  alpha = -1 gives x2.  Returns
+    the trial blocks and which rows are finite; v = 0 leaves a row
+    non-finite, and such a row's trial is x2."""
+    r = [b - a for a, b in zip(x0, x1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(x0, x1, x2)]
+    r_norm = np.sqrt(sum(np.sum(np.abs(d) ** 2, axis=1) for d in r))
+    v_norm = np.sqrt(sum(np.sum(np.abs(d) ** 2, axis=1) for d in v))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = np.minimum(-r_norm / v_norm, -1.0)[:, None]
+        trial = [a - 2.0 * alpha * dr + alpha**2 * dv for a, dr, dv in zip(x0, r, v)]
+        trial = [t / np.linalg.norm(t, axis=1)[:, None] for t in trial]
+    finite = np.logical_and.reduce([np.isfinite(t).all(axis=1) for t in trial])
+    return [np.where(finite[:, None], t, x) for t, x in zip(trial, x2)], finite
+
+
+def _extrapolate(
+    actions: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
+    wide: list[int],
+    factors: list[np.ndarray],
+    moved: list[np.ndarray],
+    exps: np.ndarray,
+    values: np.ndarray,
+    rows: np.ndarray,
+    start: list[np.ndarray],
+    middle: list[np.ndarray],
+) -> None:
+    """Move the active rows' wide blocks to their squared-extrapolation
+    trial where its Q is at least Q(x2); every other row stays at x2.
+    Updates factors, moved, exps and values in place."""
+    x2 = [factors[bi][rows] for bi in wide]
+    trial, finite = _squared_trial(
+        [s[rows] for s in start], [m[rows] for m in middle], x2
+    )
+    trial_exps = exps.copy()
+    for j, bi in enumerate(wide):
+        trial_exps[bi] = _survey(actions[bi], trial[j], moved[bi])
+    trial_values = np.sum(np.prod(trial_exps, axis=0) ** 2, axis=1)
+    accept = finite & (trial_values >= values[rows])
+    values[rows[accept]] = trial_values[accept]
+    exps[:, accept] = trial_exps[:, accept]
+    for j, bi in enumerate(wide):
+        factors[bi][rows[accept]] = trial[j][accept]
+    # the trial overwrote moved; survey x2 again on the rows that keep it
+    reject = ~accept
+    if reject.all():
+        for j, bi in enumerate(wide):
+            _survey(actions[bi], x2[j], moved[bi])
+    elif reject.any():
+        # a batch of several restarts holds at most _BATCH_AMPLITUDES
+        # amplitudes, so these copies stay small
+        for j, bi in enumerate(wide):
+            kept = moved[bi][reject]
+            _survey(actions[bi], x2[j][reject], kept)
+            moved[bi][reject] = kept
+
+
 def _ascend(
     actions: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
     draws: list[list[np.ndarray]],
@@ -179,13 +249,18 @@ def _ascend(
     sweeps = np.zeros(len(draws), dtype=np.int64)
     converged = np.zeros(len(draws), dtype=bool)
 
+    # blocks of two or more qubits, the ones the squared extrapolation moves
+    wide = [bi for bi, action in enumerate(actions) if action[2] is None]
+
     # moved, exps and settled hold the active restarts only; rows maps
     # them back
     rows = np.arange(len(draws))
     settled = np.zeros(len(draws), dtype=bool)
-    for _ in range(config.max_iterations):
+    for sweep in range(config.max_iterations):
         if rows.size == 0:
             break
+        if sweep % 2 == 0:
+            start = [factors[bi].copy() for bi in wide]
         sweeps[rows] += 1
         for bi, action in enumerate(actions):
             others = np.prod(np.delete(exps, bi, axis=0), axis=0)
@@ -214,6 +289,12 @@ def _ascend(
             converged[rows[done]] = True
             rows, exps, settled = rows[~done], exps[:, ~done], settled[~done]
             moved = [m[~done] for m in moved]
+        if sweep % 2 == 0:
+            middle = [factors[bi].copy() for bi in wide]
+        elif wide and rows.size:
+            _extrapolate(
+                actions, wide, factors, moved, exps, values, rows, start, middle
+            )
 
     best = int(np.argmax(values))
     best_factors = [f[best] for f in factors]
@@ -258,6 +339,21 @@ def maximize_q_product(
     because from a random start it would commit every qubit to an axis at
     once, and on some sets (random_set(6, 12, 2) of the benchmark's
     reference module) that reaches the best value far less often.
+
+    After every two sweeps, with x0, x1, x2 a restart's factors on its
+    blocks of two or more qubits before, between and after them,
+    r = x1 - x0, v = x2 - 2 x1 + x0 and alpha = min(-|r| / |v|, -1) (norms
+    over those blocks), each such block tries
+    normalise(x0 - 2 alpha r + alpha^2 v); one-qubit blocks keep x2, and
+    alpha = -1 gives x2 itself.  The power step's fixed point is
+    approached linearly, and this squared extrapolation jumps along that
+    slow direction.  It never lowers Q, because it is only a proposal:
+    the trial is surveyed and a restart keeps it only if its exact Q is
+    at least Q(x2); otherwise, and where v = 0 or the trial is not
+    finite, the restart stays at x2.  Trials are not sweeps: they count
+    neither towards ``iterations_used`` and ``max_iterations`` nor
+    towards settling and convergence, which plain sweeps alone decide.
+    A partition without a block of two or more qubits takes no trial.
 
     Neither step has a step size, so restarts move together, in batches
     that cache at most _BATCH_AMPLITUDES amplitudes s_b psi_b where a

@@ -309,6 +309,17 @@ def test_verify_json_three_qubit(sigma3_file, capsys):
     assert all(not row["violation"] for row in rows)
 
 
+def test_verify_eq15_bipartition_sweeps(sigma15_file, capsys):
+    # at default settings the power step alone ran 21 927 sweeps on these
+    # rows; the squared extrapolation of the wide blocks cuts that
+    assert main(["verify", sigma15_file, "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    bipartitions = [row for row in rows if row["partition"].count("|") == 1]
+    assert len(bipartitions) == 3
+    assert all(row["converged"] for row in bipartitions)
+    assert sum(row["sweeps"] for row in bipartitions) < 10_000
+
+
 def test_verify_reports_violation(pair_file, capsys, monkeypatch):
     import paulicrit.cli as cli_module
     from paulicrit import Partition, VerificationRecord

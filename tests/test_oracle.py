@@ -30,6 +30,9 @@ WIDTH8 = OperatorSet.from_strings(
     "x1xzzzxz xx1yzy1z xz1xz11x z1xyx1yy zx11y1z1 zxyzy1xz zyxx1yxy zyxxxyzy".split()
 )
 
+# the width-4 set whose clique number is not an upper bound on ABC|D
+PAD4 = OperatorSet.from_strings("xy11 1x11 xzy1 1yx1 yyz1 xzz1 xx11 zxx1".split())
+
 
 def test_config_defaults_and_validation():
     config = OracleConfig()
@@ -83,8 +86,10 @@ def test_product_search_seed_insensitive_at_the_optimum(sigma3):
 
 
 def test_more_sweeps_never_lose_value(sigma3, sigma15):
-    # every block step is monotone, so a longer budget never ends lower;
-    # 32 and 64 sweeps pass the switch to the exact one-qubit step
+    # every block step is monotone and a squared-extrapolation trial is kept
+    # only where Q does not drop, so a longer budget never ends lower; odd
+    # budgets end between the two sweeps of a cycle, and 32 and 64 sweeps
+    # pass the switch to the exact one-qubit step
     part = parse_partition("A|BC", 3)
     wide = parse_partition("A|BCDEFGH", 8)
     searches = {
@@ -97,14 +102,48 @@ def test_more_sweeps_never_lose_value(sigma3, sigma15):
         "eq15 A|BCDE": lambda config: maximize_q_product(
             sigma15, parse_partition("A|BCDE", 5), config
         ),
+        "pad4 ABC|D": lambda config: maximize_q_product(
+            PAD4, parse_partition("ABC|D", 4), config
+        ),
+        "pad4 global": lambda config: maximize_q_global(PAD4, config),
     }
     for name, search in searches.items():
-        values = [
-            search(OracleConfig(restarts=2, max_iterations=n, seed=2)).best_value
-            for n in (1, 2, 4, 8, 32, 64)
-        ]
+        values = []
+        for n in (*range(1, 13), 32, 64):
+            result = search(OracleConfig(restarts=2, max_iterations=n, seed=2))
+            # a trial is not a sweep
+            assert result.iterations_used <= 2 * n, name
+            values.append(result.best_value)
         for earlier, later in zip(values, values[1:]):
             assert later >= earlier - 1e-12, name
+
+
+def test_squared_trial_step_rule():
+    # dyadic entries, so the differences below are exact
+    x0 = [np.array([[1.0, 2.0j, -1.0, 0.5]])]
+    d = [np.array([[0.5, -1.0, 0.25j, 2.0]])]
+    # x1 - x0 = d and x2 - x1 = 3d: alpha = -|d| / |2d| is clamped to -1,
+    # which gives x2 itself
+    x1 = [x0[0] + d[0]]
+    x2 = [x0[0] + 4 * d[0]]
+    trial, finite = oracle_module._squared_trial(x0, x1, x2)
+    assert finite.all()
+    assert np.allclose(trial[0], x2[0] / np.linalg.norm(x2[0]), atol=1e-12)
+    # x2 - x1 = d / 2: alpha = -|d| / |d / 2| = -2 over both blocks
+    x1 = [x0[0] + d[0], x0[0]]
+    x2 = [x0[0] + 1.5 * d[0], x0[0]]
+    x0 = [x0[0], x0[0]]
+    trial, finite = oracle_module._squared_trial(x0, x1, x2)
+    expected = x0[0] + 4 * d[0] + 4 * (-0.5 * d[0])
+    assert finite.all()
+    assert np.allclose(trial[0], expected / np.linalg.norm(expected), atol=1e-12)
+    assert np.allclose(trial[1], x0[1] / np.linalg.norm(x0[1]), atol=1e-12)
+    # equal steps leave v = 0: the row is not finite and its trial is x2
+    trial, finite = oracle_module._squared_trial(
+        [x0[0]], [x0[0] + d[0]], [x0[0] + 2 * d[0]]
+    )
+    assert not finite.any()
+    assert np.array_equal(trial[0], x0[0] + 2 * d[0])
 
 
 _PAULI = np.array(
@@ -148,6 +187,15 @@ def test_finest_partition_settles_in_few_sweeps(sigma15):
     assert result.iterations_used < 500
     assert result.best_value == pytest.approx(1.0, abs=1e-9)
     assert result.converged
+
+
+def test_finest_partition_search_is_unchanged(sigma15):
+    # no block of two or more qubits, so no squared-extrapolation trial: the
+    # plain sweeps alone give these counts
+    config = OracleConfig(restarts=10)
+    result = maximize_q_product(sigma15, Partition.finest(5), config)
+    assert result.iterations_used == 93
+    assert result.best_value == pytest.approx(1.0, abs=1e-12)
 
 
 # random_set(6, 12, 2) of bench/reference.py
@@ -235,6 +283,14 @@ def test_global_search_cap():
     )
     with pytest.raises(CapExceeded, match="work budget"):
         maximize_q_global(over)
+
+
+def test_global_search_converges_on_pad4():
+    # the power step alone ran 20 000 sweeps here at the default settings
+    result = maximize_q_global(PAD4)
+    assert result.converged
+    assert result.best_value >= 2.0938
+    assert result.iterations_used < 10_000
 
 
 def test_global_beats_any_product(sigma3):
