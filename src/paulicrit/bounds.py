@@ -1,17 +1,24 @@
-"""Separability bounds from clique numbers of cut-commutativity graphs.
+"""Separability thresholds from clique numbers of cut-commutativity graphs.
 
-For a fixed partition, a state that is a product across the cut can
-saturate a family of members only when they pairwise cut-commute, so the
-clique number of the cut-commutativity graph bounds the criterion value
-on that partition's product states.  Mixing cannot help: a convex
-combination never beats its best component, so the bound for a whole
-separability class is the maximum clique number over the partitions the
-class contains.  States with no separability restriction are governed by
-the plain commutativity graph instead: its clique number is reachable by
-a common eigenstate, and the chromatic number caps every state because
-each colour class is a pairwise anticommuting family contributing at
-most 1.  ``criteria_report`` is the one route from a set to its class
-and no-cut bounds; ``bound_for_partition`` serves a single partition.
+For a fixed partition, members that pairwise cut-commute have a common
+eigenstate in every block, and the product of those eigenstates gives
+each of them expectation +-1.  So product states across the cut attain
+the clique number omega of the cut-commutativity graph: omega is a lower
+bound on the largest criterion value over those product states, and not
+in general the largest.  pad4 (``xy11 1x11 xzy1 1yx1 yyz1 xzz1 xx11
+zxx1``) has omega 2 on ``ABC|D``, and a product state across that cut
+reaches Q = 2.0938.  The report still uses omega as every partition's
+threshold, so a claim built on it holds only where omega is also the
+product-state maximum; ``verify`` compares the two numerically.  Mixing
+cannot raise the maximum: a convex combination never beats its best
+component, so the threshold for a whole separability class is the
+largest over the partitions the class contains.  States with no
+separability restriction are governed by the plain commutativity graph
+instead: its clique number is reachable by a common eigenstate, and the
+chromatic number caps every state because each colour class is a
+pairwise anticommuting family contributing at most 1.
+``criteria_report`` is the one route from a set to its class and no-cut
+bounds; ``bound_for_partition`` serves a single partition.
 """
 
 from __future__ import annotations
@@ -27,14 +34,7 @@ from .cuts import (
     symmetry_group,
 )
 from .errors import CapExceeded
-from .graphs import (
-    CLIQUE_VERTEX_CAP,
-    COLOR_VERTEX_CAP,
-    build_graph,
-    check_clique_cap,
-    chromatic_number,
-    max_clique,
-)
+from .graphs import build_graph, check_clique_cap, chromatic_number, max_clique
 from .pauli import OperatorSet, PauliString, format_pauli, permute
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
@@ -124,32 +124,27 @@ def _verify_cut_clique(
 
 
 def bound_for_partition(
-    sigma: OperatorSet, part: Partition, cap: int = CLIQUE_VERTEX_CAP
+    sigma: OperatorSet, part: Partition
 ) -> tuple[int, tuple[PauliString, ...]]:
-    """Criterion bound for states product across one partition.
+    """Clique-number threshold for states product across one partition.
 
-    Returns the clique number of the cut-commutativity graph and the
-    witness members, re-verified against the cut relation.
+    Returns the clique number of the cut-commutativity graph, which such
+    states attain, and the witness members, re-verified against the cut
+    relation.
     """
     g = build_graph(sigma, part, "commute")
-    result = max_clique(g, cap)
+    result = max_clique(g)
     witness = tuple(sigma.members[i] for i in result.witness)
     _verify_cut_clique(witness, part)
     return result.size, witness
 
 
-def criteria_report(
-    sigma: OperatorSet,
-    *,
-    quantum_upper: bool = False,
-    clique_cap: int = CLIQUE_VERTEX_CAP,
-    color_cap: int = COLOR_VERTEX_CAP,
-) -> BoundReport:
+def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> BoundReport:
     """Bounds for the finest partition and every bipartition, plus the
     no-cut quantum values, with orbit pruning under the set's symmetries."""
     width = sigma.width
     # every graph below has one vertex per member; refuse before any search
-    check_clique_cap(len(sigma), clique_cap)
+    check_clique_cap(len(sigma))
     notes: list[str] = []
     try:
         group = symmetry_group(sigma)
@@ -169,7 +164,7 @@ def criteria_report(
     for part in parts:
         rep, g = orbits[part]
         if rep not in cache:
-            cache[rep] = bound_for_partition(sigma, rep, clique_cap)
+            cache[rep] = bound_for_partition(sigma, rep)
         bound, members = cache[rep]
         if g != identity:
             members = tuple(permute(m, g) for m in members)
@@ -186,8 +181,8 @@ def criteria_report(
         )
 
     plain = build_graph(sigma, Partition.single_block(width), "commute")
-    clique = max_clique(plain, clique_cap)
-    upper = chromatic_number(plain, color_cap)[0] if quantum_upper else None
+    clique = max_clique(plain)
+    upper = chromatic_number(plain)[0] if quantum_upper else None
 
     notes.append(
         f"symmetry group order {len(group)}; "
@@ -217,9 +212,14 @@ def criteria_report(
 def classify(q_value: float, report: BoundReport) -> Verdict:
     """Turn a measured criterion value into exclusion claims.
 
-    A claim appears only when the value strictly exceeds the bound; equal
-    values certify nothing.  A value above the no-cut reachable maximum
-    earns a warning, since no state of the declared width can get there.
+    A claim appears only when the value strictly exceeds the threshold;
+    equal values certify nothing.  The thresholds are the report's clique
+    numbers, which product states attain but may exceed (pad4 reaches
+    2.0938 across ``ABC|D``, whose clique number is 2), so a claim is
+    proven only where its clique number is also the product-state
+    maximum.  A value above ``quantum_lower``, the no-cut clique number,
+    earns a warning to check the inputs; that value too is attained, not
+    proven maximal.
     """
     if q_value < 0:
         raise ValueError(f"criterion value cannot be negative, got {q_value}")

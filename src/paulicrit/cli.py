@@ -24,7 +24,13 @@ from .errors import CapExceeded, ParseError
 from .graphs import GRAPH_VERTEX_CAP, build_graph, export_dot, max_clique
 from .oracle import OracleConfig, check_work_budget, verify_bound
 from .pauli import OperatorSet, cp_expand, parse_pauli
-from .states import common_eigenstate, evaluate_q, load_state, state_to_json_obj
+from .states import (
+    check_eigenstate_cap,
+    common_eigenstate,
+    evaluate_q,
+    load_state,
+    state_to_json_obj,
+)
 
 _NAMED_STATES = ("ghz", "w", "smolin", "basis")
 
@@ -128,12 +134,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_bounds(args) -> int:
     sigma = _load_sigma(args.sigma)
-    report = criteria_report(
-        sigma,
-        quantum_upper=args.quantum_upper,
-        clique_cap=args.clique_cap,
-        color_cap=args.color_cap,
-    )
+    report = criteria_report(sigma, quantum_upper=args.quantum_upper)
     records = None
     if args.verify:
         # the finest partition plus the report's orbit representatives, so
@@ -194,7 +195,7 @@ def cmd_eval(args) -> int:
     sigma = _load_sigma(args.sigma)
     state = _resolve_state(args.state, sigma.width)
     qvalue = evaluate_q(state, sigma)
-    report = criteria_report(sigma, clique_cap=args.clique_cap)
+    report = criteria_report(sigma)
     verdict = classify(qvalue.value, report)
     if args.json:
         obj = {"q": qvalue.to_json_obj(), "verdict": verdict.to_json_obj()}
@@ -243,6 +244,8 @@ def cmd_generate(args) -> int:
         _write_output("\n".join(sigma.texts()) + "\n", args.output)
         return 0
     sigma = _load_sigma(args.clique_state)
+    # the eigenstate's width cap is cheap; refuse before the clique search
+    check_eigenstate_cap(sigma.width)
     graph = build_graph(sigma, Partition.single_block(sigma.width), "commute")
     clique = max_clique(graph)
     ops = [sigma.members[i] for i in clique.witness]
@@ -259,13 +262,6 @@ def _add_oracle_flags(sub: argparse.ArgumentParser) -> None:
                      help="oracle restart count")
     sub.add_argument("--max-iterations", type=int, default=2000,
                      help="ascent sweep budget per restart")
-
-
-def _add_cap_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--clique-cap", type=int, default=128,
-                     help="vertex cap for exact clique search")
-    sub.add_argument("--color-cap", type=int, default=64,
-                     help="vertex cap for exact colouring search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run the numerical oracle against every orbit")
     p_bounds.add_argument("--quantum-upper", action="store_true",
                           help="also run the exact colouring upper bound")
-    _add_cap_flags(p_bounds)
     _add_oracle_flags(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -309,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--state", required=True,
                         help="ghz | w | smolin | basis:BITS | path to a state file")
     p_eval.add_argument("--json", action="store_true", help="machine output")
-    p_eval.add_argument("--clique-cap", type=int, default=128,
-                        help="vertex cap for exact clique search")
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = subs.add_parser(

@@ -264,21 +264,22 @@ def _generators(group: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return gens
 
 
-def symmetry_group(
-    sigma: OperatorSet, cap: int = SYMMETRY_WIDTH_CAP
-) -> list[tuple[int, ...]]:
+def symmetry_group(sigma: OperatorSet) -> list[tuple[int, ...]]:
     """All qubit relabelings that map the operator set onto itself, sorted.
 
     Returned in the convention of ``pauli.permute``: entry g[i] is the new
     label of qubit i.  Backtracking over images with a multiset pruning
     test on letter-column prefixes; worst case factorial, so the width is
-    capped and so is the search work (``SYMMETRY_WORK_BUDGET``).  The
-    result always contains the identity (checked).  Its closure is proved
-    where it is used: ``partition_orbits`` runs ``_generators`` on it.
+    capped (``SYMMETRY_WIDTH_CAP``) and so is the search work
+    (``SYMMETRY_WORK_BUDGET``).  The result always contains the identity
+    (checked).  Its closure is proved where it is used:
+    ``partition_orbits`` runs ``_generators`` on it.
     """
     n = sigma.width
-    if n > cap:
-        raise CapExceeded(f"symmetry search on width {n} exceeds cap {cap}")
+    if n > SYMMETRY_WIDTH_CAP:
+        raise CapExceeded(
+            f"symmetry search on width {n} exceeds cap {SYMMETRY_WIDTH_CAP}"
+        )
     columns = [
         [(m.x_bits >> site & 1) | (m.z_bits >> site & 1) << 1 for m in sigma.members]
         for site in range(n)

@@ -223,13 +223,15 @@ def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
     return k <= 0 or _grow_clique(adj, 0, cand, k - 1, k) >= k
 
 
-def check_clique_cap(n: int, cap: int = CLIQUE_VERTEX_CAP) -> None:
-    """Refuse a clique search on more than ``cap`` vertices."""
-    if n > cap:
-        raise CapExceeded(f"clique search on {n} vertices exceeds cap {cap}")
+def check_clique_cap(n: int) -> None:
+    """Refuse a clique search on more than ``CLIQUE_VERTEX_CAP`` vertices."""
+    if n > CLIQUE_VERTEX_CAP:
+        raise CapExceeded(
+            f"clique search on {n} vertices exceeds cap {CLIQUE_VERTEX_CAP}"
+        )
 
 
-def max_clique(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
+def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique with the lexicographically smallest witness.
 
     The clique number comes from a colour-bounded branch and bound; the
@@ -237,7 +239,7 @@ def max_clique(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
     still allows a completion of full size.
     """
     n = g.vertex_count
-    check_clique_cap(n, cap)
+    check_clique_cap(n)
     if n == 0:
         return CliqueResult(0, ())
     adj = g.adjacency
@@ -267,9 +269,9 @@ def max_clique(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
     return CliqueResult(size, tuple(witness))
 
 
-def independence_number(g: Graph, cap: int = CLIQUE_VERTEX_CAP) -> CliqueResult:
+def independence_number(g: Graph) -> CliqueResult:
     """Exact maximum independent set, via the clique complement duality."""
-    result = max_clique(complement(g), cap)
+    result = max_clique(complement(g))
     for a in result.witness:
         for b in result.witness:
             if a != b and g.has_edge(a, b):
@@ -338,15 +340,17 @@ def _assign_colours(
     return False
 
 
-def chromatic_number(g: Graph, cap: int = COLOR_VERTEX_CAP) -> tuple[int, tuple[int, ...]]:
+def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number and one proper colouring.
 
     Iterative deepening from the clique-number lower bound up to a greedy
     upper bound; each probe is a backtracking k-colouring search.
     """
     n = g.vertex_count
-    if n > cap:
-        raise CapExceeded(f"colouring search on {n} vertices exceeds cap {cap}")
+    if n > COLOR_VERTEX_CAP:
+        raise CapExceeded(
+            f"colouring search on {n} vertices exceeds cap {COLOR_VERTEX_CAP}"
+        )
     if n == 0:
         return 0, ()
     adj = g.adjacency
@@ -369,9 +373,10 @@ def chromatic_number(g: Graph, cap: int = COLOR_VERTEX_CAP) -> tuple[int, tuple[
     return count, tuple(best)
 
 
-def export_dot(g: Graph, name: str = "sigma") -> str:
-    """Graphviz text; vertex order and edge order are deterministic."""
-    lines = [f"graph {name} {{"]
+def export_dot(g: Graph) -> str:
+    """Graphviz text for ``graph sigma``; vertex order and edge order are
+    deterministic."""
+    lines = ["graph sigma {"]
     for i, label in enumerate(g.labels):
         lines.append(f'  n{i} [label="{label}"];')
     for i, j in g.edges():

@@ -56,15 +56,16 @@ _BATCH_AMPLITUDES = 1 << 18
 
 SATURATION_TOL = 1e-3
 SOUNDNESS_TOL = 1e-6
+# a restart stops once a sweep gains at most this times max(1, Q)
+CONVERGENCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Restart and convergence policy; deterministic for a fixed seed."""
+    """Restart and sweep policy; deterministic for a fixed seed."""
 
     restarts: int = 64
     max_iterations: int = 2000
-    convergence_tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,10 +74,6 @@ class OracleConfig:
         if self.max_iterations < 1:
             raise ValueError(
                 f"max_iterations must be positive, got {self.max_iterations}"
-            )
-        if self.convergence_tol <= 0:
-            raise ValueError(
-                f"convergence_tol must be positive, got {self.convergence_tol}"
             )
 
 
@@ -284,7 +281,7 @@ def _ascend(
         values[rows] = new_values
         scale = np.maximum(1.0, np.abs(new_values))
         settled |= gain <= SATURATION_TOL * scale
-        done = gain <= config.convergence_tol * scale
+        done = gain <= CONVERGENCE_TOL * scale
         if done.any():
             converged[rows[done]] = True
             rows, exps, settled = rows[~done], exps[:, ~done], settled[~done]
@@ -358,7 +355,7 @@ def maximize_q_product(
     Neither step has a step size, so restarts move together, in batches
     that cache at most _BATCH_AMPLITUDES amplitudes s_b psi_b where a
     restart allows; a restart leaves its batch once its sweep gain is at
-    most ``convergence_tol`` times max(1, Q).
+    most ``CONVERGENCE_TOL`` times max(1, Q).
     """
     if config is None:
         config = OracleConfig()

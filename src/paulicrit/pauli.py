@@ -139,10 +139,12 @@ def permute(p: PauliString, perm: Sequence[int]) -> PauliString:
     return PauliString(p.width, x_bits, z_bits)
 
 
-def to_matrix(p: PauliString, cap: int = MATRIX_QUBIT_CAP) -> np.ndarray:
-    """Dense 2**width complex matrix, small widths only."""
-    if p.width > cap:
-        raise CapExceeded(f"dense matrix for width {p.width} exceeds cap {cap}")
+def to_matrix(p: PauliString) -> np.ndarray:
+    """Dense 2**width complex matrix, up to ``MATRIX_QUBIT_CAP`` qubits."""
+    if p.width > MATRIX_QUBIT_CAP:
+        raise CapExceeded(
+            f"dense matrix for width {p.width} exceeds cap {MATRIX_QUBIT_CAP}"
+        )
     out = np.array([[1.0 + 0.0j]])
     for site in range(p.width):
         out = np.kron(out, _SITE_MATRICES[p.letter(site)])

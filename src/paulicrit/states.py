@@ -28,6 +28,8 @@ MIXED_QUBIT_CAP = 8
 EIGENSTATE_QUBIT_CAP = 10
 
 _NORM_TOL = 1e-10
+# a density matrix may have eigenvalues this far below zero from rounding
+_POSITIVITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +68,9 @@ class QuantumState:
         trace = complex(np.trace(rho))
         if abs(trace - 1.0) > _NORM_TOL:
             raise ValueError(f"density matrix trace {trace} is not 1")
+        low = float(np.linalg.eigvalsh(rho)[0])
+        if low < -_POSITIVITY_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {low}")
         rho = rho.copy()
         rho.flags.writeable = False
         return cls(width, "mixed", rho)
@@ -79,14 +84,6 @@ class QuantumState:
         if self.is_pure:
             return np.outer(self.data, self.data.conj())
         return self.data.copy()
-
-    def check_positive(self, tol: float = 1e-8) -> None:
-        """Raise when a mixed state has an eigenvalue below -tol."""
-        if self.is_pure:
-            return
-        low = float(np.linalg.eigvalsh(self.data)[0])
-        if low < -tol:
-            raise ValueError(f"density matrix has negative eigenvalue {low}")
 
 
 def _index_mask(width: int, qubit_mask: int) -> int:
@@ -128,14 +125,14 @@ def apply_pauli(p: PauliString, vector: np.ndarray) -> np.ndarray:
     return (phases * vec)[idx ^ ix]
 
 
-def expectation(state: QuantumState, p: PauliString, cap: int | None = None) -> float:
-    """tr(rho P), real by Hermiticity, via bitwise index action."""
+def expectation(state: QuantumState, p: PauliString) -> float:
+    """tr(rho P), real by Hermiticity, via bitwise index action; pure
+    states up to ``PURE_QUBIT_CAP`` qubits, mixed up to ``MIXED_QUBIT_CAP``."""
     if state.width != p.width:
         raise ValueError(
             f"state width {state.width} does not match operator width {p.width}"
         )
-    if cap is None:
-        cap = PURE_QUBIT_CAP if state.is_pure else MIXED_QUBIT_CAP
+    cap = PURE_QUBIT_CAP if state.is_pure else MIXED_QUBIT_CAP
     if state.width > cap:
         raise CapExceeded(f"expectation on width {state.width} exceeds cap {cap}")
     ix, phases = pauli_action(p)
@@ -158,12 +155,12 @@ class QValue:
         return {"value": self.value, "contributions": dict(self.contributions)}
 
 
-def evaluate_q(state: QuantumState, sigma: OperatorSet, cap: int | None = None) -> QValue:
+def evaluate_q(state: QuantumState, sigma: OperatorSet) -> QValue:
     """Criterion value of a state on an operator set, with per-member terms."""
     contributions: dict[str, float] = {}
     total = 0.0
     for member in sigma.members:
-        e = expectation(state, member, cap)
+        e = expectation(state, member)
         term = e * e
         contributions[format_pauli(member)] = term
         total += term
@@ -232,9 +229,15 @@ def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumStat
     return QuantumState.mixed(rho)
 
 
-def common_eigenstate(
-    ops: Iterable[PauliString], cap: int = EIGENSTATE_QUBIT_CAP
-) -> QuantumState:
+def check_eigenstate_cap(width: int) -> None:
+    """Refuse an eigenstate search on more than ``EIGENSTATE_QUBIT_CAP`` qubits."""
+    if width > EIGENSTATE_QUBIT_CAP:
+        raise CapExceeded(
+            f"eigenstate search on width {width} exceeds cap {EIGENSTATE_QUBIT_CAP}"
+        )
+
+
+def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
     """A simultaneous +-1 eigenstate of a pairwise commuting family.
 
     Sequential projector construction: for each operator keep (1 + P)/2
@@ -248,8 +251,7 @@ def common_eigenstate(
     width = ops[0].width
     if any(op.width != width for op in ops):
         raise ValueError("operators must share a width")
-    if width > cap:
-        raise CapExceeded(f"eigenstate search on width {width} exceeds cap {cap}")
+    check_eigenstate_cap(width)
     if any(op.is_identity for op in ops):
         raise ValueError("identity operator has no sign choice")
     for i, a in enumerate(ops):
@@ -316,12 +318,12 @@ def assemble_product(part: Partition, factors: Sequence[np.ndarray]) -> QuantumS
     return QuantumState.pure(vec)
 
 
-def random_product_state(
-    part: Partition, seed, cap: int = PURE_QUBIT_CAP
-) -> QuantumState:
+def random_product_state(part: Partition, seed) -> QuantumState:
     """Haar-random pure state in each block, tensored along the partition."""
-    if part.width > cap:
-        raise CapExceeded(f"product state on width {part.width} exceeds cap {cap}")
+    if part.width > PURE_QUBIT_CAP:
+        raise CapExceeded(
+            f"product state on width {part.width} exceeds cap {PURE_QUBIT_CAP}"
+        )
     rng = np.random.default_rng(seed)
     factors = []
     for block in part.blocks:
@@ -332,13 +334,15 @@ def random_product_state(
 
 
 def anticommuting_unit_combination(
-    ops: Sequence[PauliString], coeffs: Sequence[float], cap: int = 6
+    ops: Sequence[PauliString], coeffs: Sequence[float]
 ) -> np.ndarray:
     """Unit-coefficient combination of pairwise anticommuting strings.
 
     Returns the dense matrix sum(c_i P_i); with pairwise anticommuting
     members and a unit coefficient vector the square is the identity, so
     the combination is again a valid observable with eigenvalues +-1.
+    ``to_matrix`` refuses widths above its qubit cap before any matrix is
+    allocated.
     """
     ops = list(ops)
     if not ops:
@@ -348,8 +352,6 @@ def anticommuting_unit_combination(
     width = ops[0].width
     if any(op.width != width for op in ops):
         raise ValueError("operators must share a width")
-    if width > cap:
-        raise CapExceeded(f"dense combination on width {width} exceeds cap {cap}")
     for i, a in enumerate(ops):
         for b in ops[i + 1 :]:
             if not anticommutes(a, b):
@@ -359,10 +361,7 @@ def anticommuting_unit_combination(
     norm = float(np.sqrt(sum(float(c) ** 2 for c in coeffs)))
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"coefficient vector norm {norm} is not 1")
-    out = np.zeros((1 << width, 1 << width), dtype=complex)
-    for op, c in zip(ops, coeffs):
-        out += float(c) * to_matrix(op)
-    return out
+    return sum(float(c) * to_matrix(op) for op, c in zip(ops, coeffs))
 
 
 def state_to_json_obj(state: QuantumState) -> dict:

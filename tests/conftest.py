@@ -1,6 +1,7 @@
 import pytest
 
-from paulicrit import OperatorSet, cp_expand, parse_pauli
+from paulicrit import OperatorSet, parse_pauli
+from paulicrit.pauli import cp_expand
 
 EXAMPLE_EIGHT = ("xxx", "yxx", "xyx", "yyx", "xxy", "yxy", "xyy", "yyy")
 EXAMPLE_CYCLIC_PATTERNS = ("1xxxz", "1zxxz", "1zxzz")

@@ -16,16 +16,15 @@ from paulicrit import (
     classify,
     common_eigenstate,
     criteria_report,
-    cut_commute,
     evaluate_q,
-    chromatic_number,
-    format_pauli,
-    Graph,
     named_state,
     parse_partition,
     parse_pauli,
     restrict,
 )
+from paulicrit.cuts import cut_commute
+from paulicrit.graphs import Graph, chromatic_number
+from paulicrit.pauli import format_pauli
 
 
 def test_bound_for_partition_three_qubit(sigma3):

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulicrit import load_state
 from paulicrit.cli import main
+from paulicrit.states import load_state
 
 EIGHT = "xxx\nyxx\nxyx\nyyx\nxxy\nyxy\nxyy\nyyy\n"
 
@@ -120,9 +120,23 @@ def test_bounds_unparseable_file(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_bounds_cap_exit_code(sigma3_file, capsys):
-    assert main(["bounds", sigma3_file, "--clique-cap", "3"]) == 3
-    assert "error:" in capsys.readouterr().err
+def test_bounds_cap_exit_code(sigma3_file, capsys, monkeypatch):
+    import paulicrit.graphs as graphs_module
+
+    # caps are fixed: no flag raises or lowers them
+    for argv in (
+        ["bounds", sigma3_file, "--clique-cap", "3"],
+        ["bounds", sigma3_file, "--color-cap", "3"],
+        ["eval", sigma3_file, "--state", "ghz", "--clique-cap", "3"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+    capsys.readouterr()
+    # the owning module reads its cap at call time
+    monkeypatch.setattr(graphs_module, "CLIQUE_VERTEX_CAP", 7)
+    assert main(["bounds", sigma3_file]) == 3
+    assert "clique search on 8 vertices exceeds cap 7" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["bounds"], ["eval", "--state", "ghz"]])
@@ -180,7 +194,8 @@ def test_graph_cut_on_wide_set(tmp_path, capsys):
     )
     assert main(["graph", str(path), "--cut", cut, "--json"]) == 0
     obj = json.loads(capsys.readouterr().out)
-    from paulicrit import OperatorSet, cut_commute, parse_partition
+    from paulicrit import OperatorSet, parse_partition
+    from paulicrit.cuts import cut_commute
 
     sigma = OperatorSet.from_file(str(path))
     part = parse_partition(cut, 70)
@@ -254,7 +269,8 @@ def test_eval_json(sigma3_file, capsys):
 
 def test_eval_state_file(sigma3_file, tmp_path, capsys):
     state_path = tmp_path / "state.json"
-    from paulicrit import named_state, save_state
+    from paulicrit import named_state
+    from paulicrit.states import save_state
 
     save_state(named_state("ghz", 3), state_path)
     assert main(["eval", sigma3_file, "--state", str(state_path), "--json"]) == 0
@@ -264,11 +280,27 @@ def test_eval_state_file(sigma3_file, tmp_path, capsys):
 
 def test_eval_state_width_mismatch(sigma15_file, tmp_path, capsys):
     state_path = tmp_path / "narrow.json"
-    from paulicrit import named_state, save_state
+    from paulicrit import named_state
+    from paulicrit.states import save_state
 
     save_state(named_state("ghz", 3), state_path)
     assert main(["eval", sigma15_file, "--state", str(state_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_matrix_that_is_not_a_state(tmp_path, capsys):
+    # Hermitian with unit trace but eigenvalue -0.5: Q would read 4 and
+    # claim entanglement
+    sigma = tmp_path / "z.txt"
+    sigma.write_text("z\n")
+    state = tmp_path / "negative.json"
+    state.write_text(
+        '{"width":1,"kind":"mixed","matrix":[[1.5,0],[0,0],[0,0],[-0.5,0]]}'
+    )
+    assert main(["eval", str(sigma), "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative eigenvalue -0.5" in captured.err
 
 
 def test_eval_missing_state_file(sigma3_file, capsys):
@@ -322,7 +354,8 @@ def test_verify_eq15_bipartition_sweeps(sigma15_file, capsys):
 
 def test_verify_reports_violation(pair_file, capsys, monkeypatch):
     import paulicrit.cli as cli_module
-    from paulicrit import Partition, VerificationRecord
+    from paulicrit import Partition
+    from paulicrit.oracle import VerificationRecord
 
     fake = VerificationRecord(
         partition=Partition.finest(2),
@@ -346,7 +379,8 @@ def test_exact_oracle_value_prints_no_negative_zero_gap(
     command, pair_file, capsys, monkeypatch
 ):
     import paulicrit.cli as cli_module
-    from paulicrit import Partition, VerificationRecord
+    from paulicrit import Partition
+    from paulicrit.oracle import VerificationRecord
 
     exact = VerificationRecord(
         partition=Partition.finest(2),
@@ -452,6 +486,23 @@ def test_generate_clique_state_chain(sigma15_file, tmp_path, capsys):
     assert obj["q"]["value"] == pytest.approx(5.0, abs=1e-8)
     claims = [c["claim"] for c in obj["verdict"]["claims"]]
     assert "genuinely multipartite entangled" in claims
+
+
+def test_generate_clique_state_checks_width_before_clique_search(
+    tmp_path, capsys, monkeypatch
+):
+    import paulicrit.cli as cli_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("clique search ran past the eigenstate width cap")
+
+    monkeypatch.setattr(cli_module, "max_clique", forbidden)
+    path = tmp_path / "wide.txt"
+    path.write_text("z" * 11 + "\n" + "x" * 11 + "\n")
+    out = tmp_path / "state.json"
+    assert main(["generate", "--clique-state", str(path), "-o", str(out)]) == 3
+    assert "eigenstate search on width 11 exceeds cap 10" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_requires_a_source():

@@ -13,17 +13,15 @@ from paulicrit import (
     Partition,
     anticommutes,
     cut_anticommute,
-    cut_commute,
     enumerate_bipartitions,
     orbit_representatives,
     parse_pauli,
     parse_partition,
-    permute,
-    permute_partition,
     restrict,
     symmetry_group,
 )
-from paulicrit.cuts import _generators, partition_orbits
+from paulicrit.cuts import _generators, cut_commute, partition_orbits, permute_partition
+from paulicrit.pauli import permute
 
 
 def test_partition_canonical_form():

@@ -14,12 +14,11 @@ from paulicrit import (
     Partition,
     evaluate_q,
     maximize_q_global,
-    maximize_q_product,
     parse_partition,
     verify_bound,
 )
 import paulicrit.oracle as oracle_module
-from paulicrit.oracle import ORACLE_WORK_BUDGET, check_work_budget
+from paulicrit.oracle import ORACLE_WORK_BUDGET, check_work_budget, maximize_q_product
 
 FAST = OracleConfig(restarts=8, seed=1)
 
@@ -38,14 +37,11 @@ def test_config_defaults_and_validation():
     config = OracleConfig()
     assert config.restarts == 64
     assert config.max_iterations == 2000
-    assert config.convergence_tol == 1e-9
     assert config.seed == 0
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
     with pytest.raises(ValueError):
         OracleConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        OracleConfig(convergence_tol=0.0)
 
 
 def test_product_search_two_qubit_pair():

@@ -9,16 +9,13 @@ from paulicrit import (
     CapExceeded,
     OperatorSet,
     ParseError,
-    PauliString,
     anticommutes,
-    cp_expand,
-    format_pauli,
     parse_pauli,
-    permute,
     restrict,
     to_matrix,
     weight,
 )
+from paulicrit.pauli import PauliString, cp_expand, format_pauli, permute
 
 SINGLE = {
     "1": np.eye(2, dtype=complex),
@@ -168,7 +165,6 @@ def test_to_matrix_algebra():
 def test_to_matrix_cap():
     with pytest.raises(CapExceeded):
         to_matrix(parse_pauli("x" * 7))
-    assert to_matrix(parse_pauli("x" * 7), cap=7).shape == (128, 128)
 
 
 def test_operator_set_basics():

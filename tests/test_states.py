@@ -11,22 +11,25 @@ from paulicrit import (
     Partition,
     QuantumState,
     anticommuting_unit_combination,
-    apply_pauli,
     assemble_product,
     common_eigenstate,
     evaluate_q,
     expectation,
-    load_state,
     mix,
     named_state,
     parse_partition,
     parse_pauli,
     random_product_state,
     restrict,
+    to_matrix,
+)
+import paulicrit.states as states_module
+from paulicrit.states import (
+    apply_pauli,
+    load_state,
     save_state,
     state_from_json_obj,
     state_to_json_obj,
-    to_matrix,
 )
 
 
@@ -74,11 +77,11 @@ def test_state_data_is_read_only():
         state.data[0] = 0.0
 
 
-def test_check_positive():
-    QuantumState.mixed(np.eye(2) / 2.0).check_positive()
-    bad = QuantumState.mixed(np.diag([1.5, -0.5]).astype(complex))
-    with pytest.raises(ValueError):
-        bad.check_positive()
+def test_mixed_rejects_negative_eigenvalue():
+    QuantumState.mixed(np.eye(2) / 2.0)
+    # Hermitian with unit trace, but not a state
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        QuantumState.mixed(np.diag([1.5, -0.5]).astype(complex))
 
 
 def test_density_of_pure_state():
@@ -126,18 +129,20 @@ def test_apply_pauli_matches_matrix():
             assert np.allclose(apply_pauli(p, vec), to_matrix(p) @ vec)
 
 
-def test_expectation_width_mismatch_and_caps():
+def test_expectation_width_mismatch_and_caps(monkeypatch):
     ghz = named_state("ghz", 3)
     with pytest.raises(ValueError):
         expectation(ghz, parse_pauli("xx"))
-    with pytest.raises(CapExceeded):
-        expectation(ghz, parse_pauli("xxx"), cap=2)
     wide = named_state("basis", 13, "0" * 13)
     with pytest.raises(CapExceeded):
         expectation(wide, parse_pauli("z" * 13))
     mixed = QuantumState.mixed(np.eye(1 << 9) / float(1 << 9))
     with pytest.raises(CapExceeded):
         expectation(mixed, parse_pauli("z" * 9))
+    # the cap is read at call time
+    monkeypatch.setattr(states_module, "PURE_QUBIT_CAP", 2)
+    with pytest.raises(CapExceeded, match="width 3 exceeds cap 2"):
+        expectation(ghz, parse_pauli("xxx"))
 
 
 def test_evaluate_q_ghz(sigma3):
@@ -200,7 +205,6 @@ def test_named_state_errors():
 
 def test_smolin_correlations():
     smolin = named_state("smolin", 4)
-    smolin.check_positive()
     for text in ("xxxx", "yyyy", "zzzz"):
         assert expectation(smolin, parse_pauli(text)) == pytest.approx(1.0)
     for text in ("zz11", "1zz1", "x1x1", "11yy"):
