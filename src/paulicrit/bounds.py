@@ -18,7 +18,8 @@ instead: its clique number is reachable by a common eigenstate, and the
 chromatic number caps every state because each colour class is a
 pairwise anticommuting family contributing at most 1.
 ``criteria_report`` is the one route from a set to its class and no-cut
-bounds; ``bound_for_partition`` serves a single partition.
+bounds: one ``cut_graphs`` pass yields the graph of every orbit
+representative.  ``bound_for_partition`` serves a single partition.
 """
 
 from __future__ import annotations
@@ -34,8 +35,14 @@ from .cuts import (
     symmetry_group,
 )
 from .errors import CapExceeded
-from .graphs import build_graph, check_clique_cap, chromatic_number, max_clique
-from .pauli import OperatorSet, PauliString, format_pauli, permute
+from .graphs import (
+    build_graph,
+    check_clique_cap,
+    chromatic_number,
+    cut_graphs,
+    max_clique,
+)
+from .pauli import OperatorSet, PauliString, permute
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
 
@@ -159,18 +166,25 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     orbits = partition_orbits(parts, group)
     identity = tuple(range(width))
 
-    cache: dict[Partition, tuple[int, tuple[PauliString, ...]]] = {}
+    # one graph per orbit, from one pass of the cut kernel; first-met order
+    reps = list(dict.fromkeys(orbits[part][0] for part in parts))
+    cliques = {rep: max_clique(g) for rep, g in zip(reps, cut_graphs(sigma, reps))}
+    text_of = dict(zip(sigma.members, sigma.texts()))
     per_partition: dict[Partition, PartitionBound] = {}
     for part in parts:
         rep, g = orbits[part]
-        if rep not in cache:
-            cache[rep] = bound_for_partition(sigma, rep)
-        bound, members = cache[rep]
+        result = cliques[rep]
+        members = tuple(sigma.members[i] for i in result.witness)
         if g != identity:
             members = tuple(permute(m, g) for m in members)
         _verify_cut_clique(members, part)
-        witness = tuple(sorted(format_pauli(m) for m in members))
-        per_partition[part] = PartitionBound(bound, witness, rep)
+        try:
+            witness = tuple(sorted(text_of[m] for m in members))
+        except KeyError:
+            raise RuntimeError(
+                "permuted bound witness is not a member of sigma"
+            ) from None
+        per_partition[part] = PartitionBound(result.size, witness, rep)
 
     class_bounds: dict[str, int] = {
         "full_separability": per_partition[finest].bound
@@ -186,7 +200,7 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
 
     notes.append(
         f"symmetry group order {len(group)}; "
-        f"{len(parts)} partitions in {len(cache)} orbits"
+        f"{len(parts)} partitions in {len(reps)} orbits"
     )
     notes.append(
         "class bounds take the maximum over member partitions; "

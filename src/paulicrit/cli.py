@@ -12,6 +12,7 @@ import json
 import sys
 from typing import Sequence
 
+from . import graphs
 from .bounds import classify, criteria_report
 from .cuts import (
     Partition,
@@ -21,7 +22,7 @@ from .cuts import (
     symmetry_group,
 )
 from .errors import CapExceeded, ParseError
-from .graphs import GRAPH_VERTEX_CAP, build_graph, export_dot, max_clique
+from .graphs import build_graph, export_dot, max_clique
 from .oracle import OracleConfig, check_work_budget, verify_bound
 from .pauli import OperatorSet, cp_expand, parse_pauli
 from .states import (
@@ -179,9 +180,10 @@ def cmd_graph(args) -> int:
         if args.cut
         else Partition.single_block(sigma.width)
     )
-    if len(sigma) > GRAPH_VERTEX_CAP:
+    if len(sigma) > graphs.GRAPH_VERTEX_CAP:
         raise CapExceeded(
-            f"graph export on {len(sigma)} vertices exceeds cap {GRAPH_VERTEX_CAP}"
+            f"graph export on {len(sigma)} vertices exceeds cap "
+            f"{graphs.GRAPH_VERTEX_CAP}"
         )
     graph = build_graph(sigma, part, args.relation)
     if args.json:

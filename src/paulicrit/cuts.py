@@ -10,7 +10,8 @@ w = (p.x & q.z) ^ (p.z & q.x), the restrictions to a block anticommute
 exactly when popcount(w & block_mask) is odd, so each partition carries
 its block bitmasks (``Partition.masks``) and the cut test is one parity
 per block.  ``pauli.restrict`` is now only the definition the tests
-compare this rule against.
+compare this rule against.  ``graphs.cut_graphs`` applies the same
+parity rule to all pairs at once, on per-site bitmasks of the members.
 
 The symmetry group of a set is found by backtracking over site images,
 capped in width and in search work.  Its group property is proved from

@@ -39,12 +39,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import states
 from .bounds import bound_for_partition
 from .cuts import Partition
 from .errors import CapExceeded
 from .pauli import OperatorSet, restrict
 from .states import (
-    PURE_QUBIT_CAP,
     QuantumState,
     assemble_product,
     evaluate_q,
@@ -363,9 +363,10 @@ def maximize_q_product(
         raise ValueError(
             f"partition width {part.width} does not match operator width {sigma.width}"
         )
-    if sigma.width > PURE_QUBIT_CAP:
+    if sigma.width > states.PURE_QUBIT_CAP:
         raise CapExceeded(
-            f"product search on width {sigma.width} exceeds cap {PURE_QUBIT_CAP}"
+            f"product search on width {sigma.width} exceeds cap "
+            f"{states.PURE_QUBIT_CAP}"
         )
     check_work_budget(sigma, [part], config)
 

@@ -1,11 +1,13 @@
 """Partition bounds, class bounds, reports, and classification."""
 
 import gc
+import itertools
 import types
 
 import numpy as np
 import pytest
 
+import paulicrit.bounds as bounds_module
 import paulicrit.cuts as cuts_module
 
 from paulicrit import (
@@ -119,6 +121,45 @@ def test_criteria_report_witnesses_verified(sigma15):
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert cut_commute(a, b, part)
+
+
+def _random_texts(rng, width, count):
+    texts = set()
+    while len(texts) < count:
+        t = "".join(rng.choice(list("1xyz"), size=width))
+        if t != "1" * width:
+            texts.add(t)
+    return sorted(texts)
+
+
+def test_criteria_report_agrees_with_single_partition_route(sigma15):
+    # one kernel pass over the orbit representatives against one graph per
+    # partition; eq15's rotations carry most witnesses by a permutation
+    rng = np.random.default_rng(83)
+    sets = [sigma15] + [
+        OperatorSet.from_strings(_random_texts(rng, width, 2 * width + 2))
+        for width in (2, 3, 4, 5, 6, 6)
+    ]
+    for sigma in sets:
+        report = criteria_report(sigma)
+        for part, row in report.per_partition.items():
+            assert row.bound == bound_for_partition(sigma, part)[0]
+            assert set(row.witness) <= set(sigma.texts())
+            members = [parse_pauli(t) for t in row.witness]
+            assert len(members) == row.bound
+            for i, a in enumerate(members):
+                for b in members[i + 1 :]:
+                    assert cut_commute(a, b, part)
+
+
+def test_criteria_report_refuses_a_witness_outside_sigma(monkeypatch):
+    # a group that does not map the set onto itself carries witnesses out
+    # of sigma; relabeling keeps the cut relation, so only the lookup sees it
+    every = list(itertools.permutations(range(3)))
+    monkeypatch.setattr(bounds_module, "symmetry_group", lambda sigma: every)
+    sigma = OperatorSet.from_strings(["zz1", "xx1", "z1x"])
+    with pytest.raises(RuntimeError, match="not a member of sigma"):
+        criteria_report(sigma)
 
 
 def test_criteria_report_two_qubit_pair():

@@ -226,6 +226,16 @@ def test_graph_export_vertex_cap(tmp_path, capsys, monkeypatch):
     assert "graph export on 2049 vertices exceeds cap 2048" in err
 
 
+def test_graph_export_reads_the_vertex_cap_at_call_time(
+    sigma3_file, capsys, monkeypatch
+):
+    import paulicrit.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "GRAPH_VERTEX_CAP", 3)
+    assert main(["graph", sigma3_file]) == 3
+    assert "graph export on 8 vertices exceeds cap 3" in capsys.readouterr().err
+
+
 def test_graph_output_file(sigma3_file, tmp_path):
     out_path = tmp_path / "graph.dot"
     assert main(["graph", sigma3_file, "-o", str(out_path)]) == 0

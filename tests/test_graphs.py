@@ -5,6 +5,7 @@ random graphs small enough to enumerate.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -24,7 +25,15 @@ from paulicrit import (
     restrict,
 )
 from paulicrit.cuts import cut_commute
-from paulicrit.graphs import Graph, _has_clique, chromatic_number, complement, export_dot
+from paulicrit.graphs import (
+    Graph,
+    _has_clique,
+    chromatic_number,
+    complement,
+    cut_graphs,
+    export_dot,
+)
+from paulicrit.pauli import PauliString
 
 
 def brute_clique_number(g):
@@ -131,7 +140,7 @@ def test_build_graph_matches_restrictions_every_bipartition():
 
 
 def test_build_graph_matches_restrictions_wide():
-    # width 70 spans two uint64 words, with blocks on both sides of bit 64
+    # width 70: site masks wider than 64 bits, blocks on both sides of bit 64
     rng = np.random.default_rng(19)
     sigma = _random_set(rng, 70, 24)
     for block_count in (3, 3, 4, 4):
@@ -142,6 +151,69 @@ def test_build_graph_matches_restrictions_wide():
             for k in range(block_count)
         )
         _assert_edges_match_restrictions(sigma, Partition(70, blocks))
+
+
+def _seeded_set(width, count, seed):
+    """``count`` distinct non-identity strings drawn as in bench/reference.py."""
+    rng = random.Random(seed)
+    picked = set()
+    while len(picked) < count:
+        x, z = rng.randrange(1 << width), rng.randrange(1 << width)
+        if x or z:
+            picked.add((x, z))
+    return OperatorSet(PauliString(width, x, z) for x, z in sorted(picked))
+
+
+def _set_partitions(width):
+    """Every partition of 0..width-1 (Bell-number many)."""
+    blockings = [[]]
+    for site in range(width):
+        grown = []
+        for blocks in blockings:
+            for k in range(len(blocks)):
+                grown.append(blocks[:k] + [blocks[k] + [site]] + blocks[k + 1 :])
+            grown.append(blocks + [[site]])
+        blockings = grown
+    return [Partition(width, tuple(map(tuple, blocks))) for blocks in blockings]
+
+
+def _assert_pair_rule(sigma, part, g):
+    assert g.labels == sigma.texts()
+    for i, j in itertools.combinations(range(len(sigma)), 2):
+        assert g.has_edge(i, j) == cut_commute(sigma[i], sigma[j], part)
+
+
+def test_cut_graphs_match_pair_rule_every_partition():
+    for width in range(3, 8):
+        sigma = _seeded_set(width, 2 * width, width)
+        parts = _set_partitions(width)
+        assert len(parts) == (5, 15, 52, 203, 877)[width - 3]
+        graphs = list(cut_graphs(sigma, parts))
+        assert len(graphs) == len(parts)
+        for part, g in zip(parts, graphs):
+            _assert_pair_rule(sigma, part, g)
+
+
+def test_cut_graphs_match_pair_rule_wide():
+    sigma = _seeded_set(70, 30, 70)
+    even_odd = Partition(70, (tuple(range(0, 70, 2)), tuple(range(1, 70, 2))))
+    parts = [Partition.finest(70), Partition.single_block(70), even_odd]
+    for part, g in zip(parts, cut_graphs(sigma, parts)):
+        _assert_pair_rule(sigma, part, g)
+
+
+def test_cut_graphs_one_call_equals_one_call_per_partition():
+    sigma = _seeded_set(6, 20, 1)
+    parts = _set_partitions(6)[::7] + [Partition.finest(6)]
+    batched = list(cut_graphs(sigma, parts))
+    assert batched == [next(cut_graphs(sigma, [part])) for part in parts]
+    assert batched == [build_graph(sigma, part, "commute") for part in parts]
+
+
+def test_cut_graphs_width_mismatch_raises_on_first_next(sigma3):
+    graphs = cut_graphs(sigma3, [Partition.finest(4)])
+    with pytest.raises(ValueError, match="partition width 4"):
+        next(graphs)
 
 
 def test_build_graph_rejects_bad_relation(sigma3):

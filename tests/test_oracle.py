@@ -243,6 +243,19 @@ def test_product_search_caps_and_mismatch(sigma3):
         maximize_q_product(block7, single, over)
 
 
+def test_product_search_reads_the_width_cap_before_any_sweep(monkeypatch):
+    import paulicrit.states as states_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep ran past the width cap")
+
+    monkeypatch.setattr(states_module, "PURE_QUBIT_CAP", 2)
+    monkeypatch.setattr(oracle_module, "_ascend", forbidden)
+    zzz = OperatorSet.from_strings(["zzz"])
+    with pytest.raises(CapExceeded, match="product search on width 3 exceeds cap 2"):
+        maximize_q_product(zzz, Partition.finest(3), FAST)
+
+
 def test_global_search_simple_sets():
     pair = OperatorSet.from_strings(["zz", "xx"])
     result = maximize_q_global(pair, FAST)
