@@ -6,11 +6,17 @@ vertex, which keeps the branch-and-bound inner loops to a few word ops.
 
 ``cut_graphs`` is the one cut-relation kernel: one call builds the graph
 of every given partition from transposed (per-site) member bitmasks, and
-``build_graph`` is its single-partition form.
+``build_graph`` is its single-partition form.  ``Graph`` checks every
+graph it is given for range, self loops and symmetry; the kernel instead
+proves its per-site matrices symmetric once per call, which makes every
+graph it yields symmetric by construction.
 
 ``max_clique`` and ``chromatic_number`` are exact and deterministic:
 runs on equal inputs return identical results, and every witness is
 re-verified against the adjacency relation before it is returned.
+``max_clique`` runs one colour-bounded search for the clique number and
+a maximum clique, and keeps that clique as a known completion while it
+rebuilds the lexicographically smallest witness.
 """
 
 from __future__ import annotations
@@ -33,12 +39,22 @@ COLOR_VERTEX_CAP = 64
 GRAPH_VERTEX_CAP = 2048
 
 
-def _unpack_rows(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """n-by-n bool matrix whose row i holds the low n bits of rows[i]."""
-    size = -(-n // 8)
-    raw = b"".join(row.to_bytes(size, "little") for row in rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(n, size)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(bool)
+def _stack(rows: Iterable[int], n: int) -> int:
+    """One int holding the low n bits of each row, ceil(n / 8) bytes a row."""
+    stride = -(-n // 8)
+    raw = b"".join(r.to_bytes(stride, "little") for r in rows)
+    return int.from_bytes(raw, "little")
+
+
+def _asymmetry(stacked: list[int], n: int) -> tuple[int, int, int] | None:
+    """First (matrix, i, j) where a stacked n-by-n bit matrix (``_stack``
+    layout) differs from its transpose, or None when all are symmetric."""
+    stride = -(-n // 8)
+    raw = b"".join(m.to_bytes(n * stride, "little") for m in stacked)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(stacked), n, stride)
+    bits = np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(bool)
+    bad = np.argwhere(bits != bits.transpose(0, 2, 1))
+    return tuple(int(k) for k in bad[0]) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -58,11 +74,9 @@ class Graph:
                 raise ValueError(f"adjacency row {i} references missing vertices")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self loop")
-        bits = _unpack_rows(self.adjacency, n)
-        asymmetric = np.argwhere(bits != bits.T)
-        if asymmetric.size:
-            i, j = asymmetric[0]
-            raise ValueError(f"adjacency not symmetric at ({i}, {j})")
+        at = _asymmetry([_stack(self.adjacency, n)], n)
+        if at is not None:
+            raise ValueError(f"adjacency not symmetric at ({at[1]}, {at[2]})")
 
     @classmethod
     def from_edges(cls, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -117,6 +131,15 @@ class CliqueResult:
     witness: tuple[int, ...]
 
 
+def _symmetric_graph(labels: tuple[str, ...], adjacency: tuple[int, ...]) -> Graph:
+    """A Graph whose rows the caller has proved in range, loop-free and
+    symmetric; it skips ``Graph.__post_init__``."""
+    g = object.__new__(Graph)
+    object.__setattr__(g, "labels", labels)
+    object.__setattr__(g, "adjacency", adjacency)
+    return g
+
+
 def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph]:
     """Cut-commutativity graph of sigma for each partition, in the order given.
 
@@ -129,6 +152,13 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
     site, ``stride`` bytes a row, so a partition costs one XOR per site
     and one OR per block.  Memory is width * n * n bits whatever the
     number of partitions, since one graph is yielded at a time.
+
+    Each site matrix is proved symmetric once per call, before the first
+    graph: XOR and OR keep symmetry, and masking with ``others`` (every
+    other member in every row) clears the diagonal and every bit out of
+    range.  So the graphs are symmetric by construction and skip the
+    per-graph check of ``Graph``; a site matrix that fails its check
+    raises ``RuntimeError``.
     """
     members = sigma.members
     n = len(members)
@@ -141,21 +171,23 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
             zcol[k] |= (m.z_bits >> k & 1) << j
     stride = -(-n // 8)  # bytes per stacked row
 
-    def stack(rows: Iterable[int]) -> int:
-        raw = b"".join(r.to_bytes(stride, "little") for r in rows)
-        return int.from_bytes(raw, "little")
-
     odd_at = [
-        stack(
-            (zcol[k] if m.x_bits >> k & 1 else 0)
-            ^ (xcol[k] if m.z_bits >> k & 1 else 0)
-            for m in members
+        _stack(
+            (
+                (zcol[k] if m.x_bits >> k & 1 else 0)
+                ^ (xcol[k] if m.z_bits >> k & 1 else 0)
+                for m in members
+            ),
+            n,
         )
         for k in range(width)
     ]
-    # every other member in every row: a member cut-commutes with itself,
-    # and that is not an edge; the anticommute rows lie inside this
-    others = stack(((1 << n) - 1) ^ (1 << i) for i in range(n))
+    bad = _asymmetry(odd_at, n)
+    if bad is not None:
+        raise RuntimeError(
+            f"site {bad[0]} overlap matrix not symmetric at ({bad[1]}, {bad[2]})"
+        )
+    others = _stack((((1 << n) - 1) ^ (1 << i) for i in range(n)), n)
     labels = sigma.texts()
     for part in parts:
         if part.width != width:
@@ -168,8 +200,8 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
             for k in block:
                 odd ^= odd_at[k]
             anti |= odd
-        raw = (others ^ anti).to_bytes(n * stride, "little")
-        yield Graph(
+        raw = (others & ~anti).to_bytes(n * stride, "little")
+        yield _symmetric_graph(
             labels,
             tuple(
                 int.from_bytes(raw[at : at + stride], "little")
@@ -202,53 +234,78 @@ def complement(g: Graph) -> Graph:
     return Graph(g.labels, adj)
 
 
-def _greedy_color_order(adj: tuple[int, ...], cand: int) -> list[tuple[int, int]]:
-    """Greedy colouring of a candidate bitmask; (vertex, colour) in colour order."""
-    order: list[tuple[int, int]] = []
-    colour = 0
-    rest = cand
-    while rest:
-        colour += 1
-        cls = rest
-        while cls:
-            v = (cls & -cls).bit_length() - 1
-            bit = 1 << v
-            cls &= ~adj[v]
-            cls &= ~bit
-            rest &= ~bit
-            order.append((v, colour))
-    return order
+def _complements(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Row v is every vertex except v and its neighbours (a negative int)."""
+    return tuple(~(row | 1 << v) for v, row in enumerate(adj))
 
 
 def _clique_number(adj: tuple[int, ...], n: int) -> int:
     """Branch and bound with greedy colouring upper bounds."""
-    return _grow_clique(adj, 0, (1 << n) - 1, 0, n) if n else 0
+    if n == 0:
+        return 0
+    return _grow_clique(adj, _complements(adj), 0, 0, (1 << n) - 1, 0, n, [0])
 
 
 def _grow_clique(
-    adj: tuple[int, ...], size: int, cand: int, best: int, goal: int
+    adj: tuple[int, ...],
+    comp: tuple[int, ...],
+    size: int,
+    path: int,
+    cand: int,
+    best: int,
+    goal: int,
+    found: list[int],
 ) -> int:
     """Largest of ``best`` and size + the clique number of ``cand``; the
-    search returns as soon as that value reaches ``goal``."""
-    order = _greedy_color_order(adj, cand)
+    search returns as soon as that value reaches ``goal``.
+
+    ``path`` is the clique of ``size`` vertices that every candidate
+    extends, and ``comp`` holds the ``_complements`` of ``adj``.  The
+    largest clique found that beats ``best`` is written to ``found[0]`` as
+    a bitmask.  Candidates are greedily coloured, and a vertex of colour c
+    reaches at most size + c, so classes of colour at most best - size are
+    coloured but not recorded: the branch loop would prune them unread.
+    """
+    floor = best - size
+    classes: list[tuple[int, int]] = []  # (colour, members) of recorded classes
+    colour = 0
+    rest = cand
+    while rest:
+        colour += 1
+        cls = left = rest
+        while cls:
+            low = cls & -cls
+            cls &= comp[low.bit_length() - 1]
+            rest ^= low
+        if colour > floor:
+            classes.append((colour, left ^ rest))
     local = cand
-    for v, colour in reversed(order):
-        if size + colour <= best:
-            return best
-        nxt = local & adj[v]
-        if nxt and size + 1 < goal:
-            best = _grow_clique(adj, size + 1, nxt, best, goal)
-        elif size + 1 > best:
-            best = size + 1
-        if best >= goal:
-            return best
-        local &= ~(1 << v)
+    for colour, cls in reversed(classes):
+        while cls:
+            if size + colour <= best:
+                return best
+            v = cls.bit_length() - 1
+            bit = 1 << v
+            cls ^= bit
+            nxt = local & adj[v]
+            if nxt and size + 1 < goal:
+                best = _grow_clique(
+                    adj, comp, size + 1, path | bit, nxt, best, goal, found
+                )
+            elif size + 1 > best:
+                best = size + 1
+                found[0] = path | bit
+            if best >= goal:
+                return best
+            local ^= bit
     return best
 
 
 def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
     """Does the candidate bitmask contain a clique of size k?"""
-    return k <= 0 or _grow_clique(adj, 0, cand, k - 1, k) >= k
+    if k <= 0:
+        return True
+    return _grow_clique(adj, _complements(adj), 0, 0, cand, k - 1, k, [0]) >= k
 
 
 def check_clique_cap(n: int) -> None:
@@ -262,38 +319,54 @@ def check_clique_cap(n: int) -> None:
 def max_clique(g: Graph) -> CliqueResult:
     """Exact maximum clique with the lexicographically smallest witness.
 
-    The clique number comes from a colour-bounded branch and bound; the
-    witness is then rebuilt greedily, committing the smallest vertex that
-    still allows a completion of full size.
+    One colour-bounded branch and bound gives the clique number and a
+    maximum clique.  The witness is then rebuilt greedily, committing the
+    smallest vertex that still allows a completion of full size, with
+    that clique kept as a known completion: a probe that reaches its
+    smallest vertex commits it with no search, so only smaller vertices
+    are probed, and a probe that succeeds returns the clique that becomes
+    the next known completion.
     """
     n = g.vertex_count
     check_clique_cap(n)
     if n == 0:
         return CliqueResult(0, ())
     adj = g.adjacency
-    size = _clique_number(adj, n)
+    comp = _complements(adj)
+    found = [0]
+    size = _grow_clique(adj, comp, 0, 0, (1 << n) - 1, 0, n, found)
+    known = found[0]
 
     witness: list[int] = []
     cand = (1 << n) - 1
     while len(witness) < size:
-        probe = cand
-        committed = False
-        while probe:
-            v = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            rest = cand & adj[v] & ~((1 << (v + 1)) - 1)
-            if _has_clique(adj, rest, size - len(witness) - 1):
-                witness.append(v)
-                cand = rest
-                committed = True
-                break
-        if not committed:
+        if not known or known & ~cand:
             raise RuntimeError("clique witness reconstruction failed")
+        need = size - len(witness) - 1
+        low = known & -known
+        probe = cand & (low - 1)
+        while probe:
+            bit = probe & -probe
+            probe ^= bit
+            v = bit.bit_length() - 1
+            rest = cand & adj[v] & -(bit << 1)
+            found[0] = 0
+            if need == 0 or _grow_clique(
+                adj, comp, 0, 0, rest, need - 1, need, found
+            ) >= need:
+                known = found[0]
+                break
+        else:
+            v = low.bit_length() - 1
+            rest = cand & adj[v] & -(low << 1)
+            known ^= low
+        witness.append(v)
+        cand = rest
 
-    for a in witness:
-        for b in witness:
-            if a != b and not g.has_edge(a, b):
-                raise RuntimeError("clique witness failed verification")
+    wmask = sum(1 << v for v in witness)
+    for v in witness:
+        if (adj[v] | 1 << v) & wmask != wmask:
+            raise RuntimeError("clique witness failed verification")
     return CliqueResult(size, tuple(witness))
 
 

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, and file handling."""
 
+import gc
 import json
 from pathlib import Path
 
@@ -524,3 +525,62 @@ def test_generate_requires_a_source():
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_SETS = ("ex8", "eq15", "pad4", "random_10_40_seed0", "symmetric_6_seed0")
+
+
+@pytest.mark.parametrize("name", GOLDEN_SETS)
+def test_bounds_json_matches_golden_file(name, capsys):
+    """``bounds --json`` on the fixture sets, byte for byte: the random set
+    is bench/reference.py's random_set(10, 40, 0), the symmetric one its
+    symmetric_set(6) in seed-0 line order."""
+    assert main(["bounds", str(DATA / f"{name}.txt"), "--json"]) == 0
+    golden = (DATA / f"{name}.bounds.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_main_builds_the_parser_once(sigma3_file, capsys, monkeypatch):
+    import paulicrit.cli as cli_module
+
+    built = []
+    build = cli_module.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    cli_module._parser.cache_clear()
+    try:
+        assert main(["bounds", sigma3_file]) == 0
+        assert main(["bounds", sigma3_file, "--json"]) == 0
+    finally:
+        cli_module._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_parser_survives_a_usage_error(sigma3_file, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["bounds", sigma3_file, "--no-such-flag"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["bounds", sigma3_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["class_bounds"]["full_separability"] == 1
+
+
+def test_main_leaves_no_argparse_objects_in_cycles(capsys):
+    ex8 = str(DATA / "ex8.txt")
+    assert main(["bounds", ex8]) == 0  # warm-up: builds the parser
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["bounds", ex8]) == 0
+        gc.collect()
+        leaked = [obj for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []

@@ -26,7 +26,10 @@ from paulicrit import (
 )
 from paulicrit.cuts import cut_commute
 from paulicrit.graphs import (
+    CliqueResult,
     Graph,
+    _complements,
+    _grow_clique,
     _has_clique,
     chromatic_number,
     complement,
@@ -192,6 +195,28 @@ def test_cut_graphs_match_pair_rule_every_partition():
         assert len(graphs) == len(parts)
         for part, g in zip(parts, graphs):
             _assert_pair_rule(sigma, part, g)
+            # the kernel's graphs skip Graph's checks; the constructor
+            # runs all three (range, self loop, symmetry) again
+            assert Graph(g.labels, g.adjacency) == g
+
+
+def test_cut_graphs_refuse_an_asymmetric_site_matrix(monkeypatch):
+    import paulicrit.graphs as graphs_module
+
+    stack = graphs_module._stack
+    calls = []
+
+    def corrupt(rows, n):
+        calls.append(n)
+        out = stack(rows, n)
+        # the first stacked matrix is site 0's: flip row 0, column 1
+        return out ^ 0b10 if len(calls) == 1 else out
+
+    monkeypatch.setattr(graphs_module, "_stack", corrupt)
+    sigma = _seeded_set(4, 8, 4)
+    graphs = cut_graphs(sigma, [Partition.finest(4)])
+    with pytest.raises(RuntimeError, match=r"site 0 .* not symmetric at \(0, 1\)"):
+        next(graphs)
 
 
 def test_cut_graphs_match_pair_rule_wide():
@@ -266,6 +291,39 @@ def test_max_clique_matches_brute_force():
         assert len(result.witness) == result.size
         for i, j in itertools.combinations(result.witness, 2):
             assert g.has_edge(i, j)
+        # combinations() runs in lexicographic order
+        first = next(
+            comb
+            for comb in itertools.combinations(range(n), result.size)
+            if all(g.has_edge(i, j) for i, j in itertools.combinations(comb, 2))
+        )
+        assert result.witness == first
+
+
+def test_max_clique_witness_probes_below_the_first_clique_found(monkeypatch):
+    # triangles 123 and 456, and 0 joined to 1 only: the search meets 456
+    # first, then the rebuild probes 0 (fails) and 1 (succeeds, returning
+    # 23) below it, and commits 2 and 3 with no search
+    import paulicrit.graphs as graphs_module
+
+    g = Graph.from_edges(
+        "abcdefg", [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (0, 1)]
+    )
+    found = [0]
+    adj = g.adjacency
+    size = _grow_clique(adj, _complements(adj), 0, 0, 0b1111111, 0, 7, found)
+    assert (size, found[0]) == (3, 0b1110000)
+
+    searches = []  # (candidates, goal) of every search max_clique starts
+
+    def counting(adj, comp, size, path, cand, best, goal, found):
+        if size == 0:
+            searches.append((cand, goal))
+        return _grow_clique(adj, comp, size, path, cand, best, goal, found)
+
+    monkeypatch.setattr(graphs_module, "_grow_clique", counting)
+    assert max_clique(g) == CliqueResult(3, (1, 2, 3))
+    assert searches == [(0b1111111, 7), (0b10, 2), (0b1100, 2)]
 
 
 def test_has_clique_matches_brute_force():
