@@ -13,8 +13,17 @@ per block.  ``pauli.restrict`` is now only the definition the tests
 compare this rule against.  ``graphs.cut_graphs`` applies the same
 parity rule to all pairs at once, on per-site bitmasks of the members.
 
-The symmetry group of a set is found by backtracking over site images,
-capped in width and in search work.  Its group property is proved from
+The symmetry group of a set is found by a stabilizer-chain search (Sims'
+method), capped in width and in search work.  G_i, the elements fixing
+sites 0..i-1, is built for i = n-2 down to 0: the orbit of site i under
+the generators found so far is grown breadth-first, each point p with a
+carrier t_p sending i to p, and each site j > i outside that orbit gets
+one depth-first search for the first image that fixes 0..i-1 and sends i
+to j.  A leaf found is a new generator; an exhausted subtree proves that
+no element sends i to j.  So one search runs per coset, not per element.
+The group is then listed as the products t_0∘t_1∘...∘t_{n-2} of
+carriers, |G| = the product of the orbit sizes.  Its group property is
+proved from
 generators rather than by composing every pair (``_generators``): walking
 the elements in sorted order, an element joins the generators when the
 closure of the earlier ones misses it, and that closure grows
@@ -37,8 +46,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from operator import add, itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import CapExceeded, ParseError
 from .pauli import OperatorSet, PauliString
@@ -46,11 +56,15 @@ from .pauli import OperatorSet, PauliString
 # The symmetry search is factorial in the worst case; stop well before that hurts.
 SYMMETRY_WIDTH_CAP = 12
 # A search node at depth d tests the n - d unused columns, each against
-# every member, so it is charged members * (n - d) column tests.  A fully
-# symmetric set of width w with m members costs m * sum_k w!/(w-k)! tests:
-# 9 206 400 at width 8 (84 members), 106 532 172 at width 9.  The budget
-# admits width 8, and every larger input trips after the same work.
+# every member, so it is charged members * (n - d) column tests.  Listing
+# the group is charged order * members before any element is built.  A
+# fully symmetric set of width w with m members has order w!: 40 320 * 84
+# = 3 386 880 at width 8 (after 9 996 tests of coset search) is admitted,
+# while 9! * 108 = 39 191 040 at width 9 and 12! * 198 at width 12 trip
+# within milliseconds, before any element is listed.
 SYMMETRY_WORK_BUDGET = 12_000_000
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, order=True)
@@ -183,44 +197,54 @@ def cut_commute(p: PauliString, q: PauliString, part: Partition) -> bool:
     return not cut_anticommute(p, q, part)
 
 
-def _extend_images(
+def _first_image(
     image: list[int],
     keys: list[int],
     columns: list[list[int]],
     profiles: list[dict[int, int]],
-    found: list[tuple[int, ...]],
+    choices: Iterable[int],
     work: int,
 ) -> int:
-    """Depth-first search for the images of the sites after ``image``.
+    """Depth-first search for the first full image extending ``image``.
 
-    ``keys`` holds each member's image-column prefix as a base-4 integer.
-    A site may take image j only when the prefixes grown by column j have
-    the same multiset as the source prefixes of that length.  Returns the
-    column tests charged so far, members times unused columns per node;
-    raises ``CapExceeded`` past ``SYMMETRY_WORK_BUDGET``.
+    The site after ``image`` tries the columns in ``choices``; deeper
+    sites try every unused column.  ``keys`` holds each member's
+    image-column prefix as a base-4 integer.  A site may take image j
+    only when the prefixes grown by column j have the same multiset as
+    the source prefixes of that length.  On success ``image`` is left
+    full; otherwise it is restored.  Returns the column tests charged so
+    far, members times unused columns per node; raises ``CapExceeded``
+    past ``SYMMETRY_WORK_BUDGET``.
     """
+    n = len(columns)
     depth = len(image)
-    work += len(keys) * (len(columns) - depth)
-    if work > SYMMETRY_WORK_BUDGET:
-        raise CapExceeded(
-            f"symmetry search on width {len(columns)} exceeds work budget "
-            f"{SYMMETRY_WORK_BUDGET} member-column tests"
-        )
-    if depth == len(columns):
-        found.append(tuple(image))
+    work = _charge(work, len(keys) * (n - depth), n)
+    if depth == n:
         return work
     want = profiles[depth]
     shifted = [key << 2 for key in keys]
-    for j, column in enumerate(columns):
+    for j in choices:
         if j in image:
             continue
-        grown = list(map(add, shifted, column))
+        grown = list(map(add, shifted, columns[j]))
         # dict equality runs in C; Counter.__eq__ is Python code (3.11) and
         # was most of the search.  Neither side holds a zero count.
         if dict.__eq__(Counter(grown), want):
             image.append(j)
-            work = _extend_images(image, grown, columns, profiles, found, work)
+            work = _first_image(image, grown, columns, profiles, range(n), work)
+            if len(image) == n:
+                return work
             image.pop()
+    return work
+
+
+def _charge(work: int, cost: int, width: int) -> int:
+    work += cost
+    if work > SYMMETRY_WORK_BUDGET:
+        raise CapExceeded(
+            f"symmetry search on width {width} exceeds work budget "
+            f"{SYMMETRY_WORK_BUDGET} member-column tests"
+        )
     return work
 
 
@@ -269,12 +293,15 @@ def symmetry_group(sigma: OperatorSet) -> list[tuple[int, ...]]:
     """All qubit relabelings that map the operator set onto itself, sorted.
 
     Returned in the convention of ``pauli.permute``: entry g[i] is the new
-    label of qubit i.  Backtracking over images with a multiset pruning
-    test on letter-column prefixes; worst case factorial, so the width is
-    capped (``SYMMETRY_WIDTH_CAP``) and so is the search work
-    (``SYMMETRY_WORK_BUDGET``).  The result always contains the identity
-    (checked).  Its closure is proved where it is used:
-    ``partition_orbits`` runs ``_generators`` on it.
+    label of qubit i.  A stabilizer chain (see the module docstring) finds
+    one element per coset: at each level, a first-leaf search over images,
+    with a multiset pruning test on letter-column prefixes, for each site
+    not yet in the orbit.  Worst case factorial, so the width is capped
+    (``SYMMETRY_WIDTH_CAP``) and so is the work (``SYMMETRY_WORK_BUDGET``),
+    which charges the search nodes and then order * members for listing
+    the carrier products.  The listing must hold exactly order distinct
+    elements and the identity (both checked).  Its closure is proved
+    where it is used: ``partition_orbits`` runs ``_generators`` on it.
     """
     n = sigma.width
     if n > SYMMETRY_WIDTH_CAP:
@@ -285,19 +312,46 @@ def symmetry_group(sigma: OperatorSet) -> list[tuple[int, ...]]:
         [(m.x_bits >> site & 1) | (m.z_bits >> site & 1) << 1 for m in sigma.members]
         for site in range(n)
     ]
-    # profiles[d] = multiset of source-row prefixes of length d+1
-    profiles: list[dict[int, int]] = []
-    keys = [0] * len(sigma.members)
+    # prefixes[d] = source-row prefixes of length d, as base-4 integers;
+    # profiles[d] = their multiset at length d+1
+    prefixes = [[0] * len(sigma.members)]
     for column in columns:
-        keys = [key * 4 + code for key, code in zip(keys, column)]
-        profiles.append(dict(Counter(keys)))
+        prefixes.append([key * 4 + code for key, code in zip(prefixes[-1], column)])
+    profiles = [dict(Counter(keys)) for keys in prefixes[1:]]
 
-    found: list[tuple[int, ...]] = []
-    _extend_images([], [0] * len(sigma.members), columns, profiles, found, 0)
+    identity = tuple(range(n))
+    gens: list[tuple[int, ...]] = []
+    transversals: list[list[tuple[int, ...]]] = []
+    work = 0
+    for i in range(n - 2, -1, -1):
+        # every generator found so far fixes 0..i-1, so it lies in G_i
+        orbit = _schreier_tree(i, gens, identity, _image)
+        for j in range(i + 1, n):
+            if j in orbit:
+                continue
+            image = list(range(i))
+            work = _first_image(image, prefixes[i], columns, profiles, (j,), work)
+            if len(image) == n:
+                gens.append(tuple(image))
+                orbit = _schreier_tree(i, gens, identity, _image)
+        transversals.append(list(orbit.values()))
+
+    order = prod(len(carriers) for carriers in transversals)
+    _charge(work, order * len(sigma.members), n)
+    found = [identity]
+    # levels n-2 down to 0, so each product is t_0∘t_1∘...∘t_{n-2}
+    for carriers in transversals:
+        found = [tuple(map(t.__getitem__, h)) for t in carriers for h in found]
+    if len(set(found)) != order:
+        raise RuntimeError("symmetry listing does not match the group order")
     found.sort()
-    if found[:1] != [tuple(range(n))]:  # the identity sorts first
+    if found[:1] != [identity]:  # the identity sorts first
         raise RuntimeError("symmetry search lost the identity")
     return found
+
+
+def _image(point: int, g: Sequence[int]) -> int:
+    return g[point]
 
 
 def permute_partition(part: Partition, perm: Sequence[int]) -> Partition:
@@ -312,16 +366,21 @@ def permute_partition(part: Partition, perm: Sequence[int]) -> Partition:
 
 
 def _schreier_tree(
-    root: Partition, gens: list[tuple[int, ...]]
-) -> dict[Partition, tuple[int, ...]]:
+    root: T,
+    gens: list[tuple[int, ...]],
+    identity: tuple[int, ...],
+    act: Callable[[T, Sequence[int]], T],
+) -> dict[T, tuple[int, ...]]:
     """Orbit of ``root`` under the generators, each image with an element
-    g such that permute_partition(root, g) is that image."""
-    tree = {root: tuple(range(root.width))}
+    g such that act(root, g) is that image.  ``act`` must satisfy
+    act(act(x, g), s) == act(x, s∘g), as ``permute_partition`` on
+    partitions and ``_image`` on sites do."""
+    tree = {root: identity}
     queue = [root]
     for node in queue:  # the queue grows while it is read: breadth first
         g = tree[node]
         for s in gens:
-            child = permute_partition(node, s)
+            child = act(node, s)
             if child not in tree:
                 tree[child] = tuple(s[i] for i in g)
                 queue.append(child)
@@ -349,6 +408,7 @@ def partition_orbits(
         if sorted(g) != list(range(n)):
             raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
     gens = _generators(group)
+    identity = tuple(range(n))
     out: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
     for part in parts:
         if part.width != n:
@@ -357,8 +417,8 @@ def partition_orbits(
             )
         if part in out:
             continue
-        rep = min(_schreier_tree(part, gens))
-        for image, g in _schreier_tree(rep, gens).items():
+        rep = min(_schreier_tree(part, gens, identity, permute_partition))
+        for image, g in _schreier_tree(rep, gens, identity, permute_partition).items():
             out[image] = (rep, g)
     return out
 

@@ -25,7 +25,7 @@ from paulicrit import (
     restrict,
 )
 from paulicrit.cuts import cut_commute
-from paulicrit.graphs import Graph, chromatic_number
+from paulicrit.graphs import CliqueResult, Graph, chromatic_number
 from paulicrit.pauli import format_pauli
 
 
@@ -160,6 +160,17 @@ def test_criteria_report_refuses_a_witness_outside_sigma(monkeypatch):
     sigma = OperatorSet.from_strings(["zz1", "xx1", "z1x"])
     with pytest.raises(RuntimeError, match="not a member of sigma"):
         criteria_report(sigma)
+
+
+def test_witness_check_refuses_a_cut_anticommuting_pair(sigma3, monkeypatch):
+    # xxx and yxx anticommute on qubit 0 alone, so they cut-anticommute
+    # across every partition, whatever relabeling carries them there
+    assert sigma3.texts()[:2] == ("xxx", "yxx")
+    monkeypatch.setattr(bounds_module, "max_clique", lambda g: CliqueResult(2, (0, 1)))
+    with pytest.raises(RuntimeError, match="failed the cut relation check"):
+        criteria_report(sigma3)
+    with pytest.raises(RuntimeError, match="failed the cut relation check"):
+        bound_for_partition(sigma3, parse_partition("AB|C", 3))
 
 
 def test_criteria_report_two_qubit_pair():

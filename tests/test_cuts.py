@@ -1,6 +1,7 @@
 """Partitions, cut commutation, and the qubit-relabeling symmetry group."""
 
 import itertools
+import random
 from functools import partial
 
 import numpy as np
@@ -20,6 +21,7 @@ from paulicrit import (
     restrict,
     symmetry_group,
 )
+import paulicrit.cuts as cuts_module
 from paulicrit.cuts import _generators, cut_commute, partition_orbits, permute_partition
 from paulicrit.pauli import permute
 
@@ -208,8 +210,9 @@ def _fully_symmetric(width):
 
 
 def test_symmetry_group_node_cap():
-    # both are under the width cap, but width 9 charges ~107M column tests,
-    # and width 12 (198 members) trips after the same work
+    # both are under the width cap, but listing is charged order * members
+    # before any element is built: 9! * 108 (about 39M) column tests at width
+    # 9 and 12! * 198 (about 9.5e10) at width 12, where width 8 charges 3.4M
     for width in (9, 12):
         with pytest.raises(CapExceeded, match="exceeds work budget"):
             symmetry_group(_fully_symmetric(width))
@@ -219,6 +222,57 @@ def test_symmetry_group_fully_symmetric_width_seven():
     group = symmetry_group(_fully_symmetric(7))
     assert len(group) == 5040
     assert group == sorted(itertools.permutations(range(7)))
+
+
+def test_symmetry_group_lists_one_search_per_coset(monkeypatch):
+    # listing charges 5040 * 63 = 317 520 column tests and the coset search
+    # a few thousand more; a search visiting every element's leaf would
+    # charge 63 * sum_k 7!/(7-k)! = 863 100
+    monkeypatch.setattr(cuts_module, "SYMMETRY_WORK_BUDGET", 500_000)
+    assert len(symmetry_group(_fully_symmetric(7))) == 5040
+
+
+def _random_texts(width, rng):
+    # few letters and few members, so that some sets have symmetries
+    letters = rng.choice(["1x", "1z", "1xz", "1xyz"])
+    draws = (
+        "".join(rng.choice(letters) for _ in range(width))
+        for _ in range(rng.randint(1, 2 * width))
+    )
+    return {text for text in draws if text.strip("1")} or {"x" * width}
+
+
+def _rotations_texts(width, rng, reflect):
+    texts = set()
+    for _ in range(rng.randint(1, 2)):
+        pattern = rng.choice("xyz")
+        pattern += "".join(rng.choice("1xyz") for _ in range(width - 1))
+        for text in (pattern, pattern[::-1]) if reflect else (pattern,):
+            texts.update(text[k:] + text[:k] for k in range(width))
+    return texts
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
+def test_symmetry_group_matches_a_scan_of_every_permutation(width):
+    rng = random.Random(width)
+    families = [_random_texts(width, rng) for _ in range(8)]
+    families += [
+        _rotations_texts(width, rng, reflect)
+        for reflect in (False, True)
+        for _ in range(4)
+    ]
+    nontrivial = 0
+    for texts in families:
+        sigma = OperatorSet.from_strings(sorted(texts))
+        members = set(sigma.members)
+        scan = [
+            g
+            for g in itertools.permutations(range(width))
+            if {permute(m, g) for m in members} == members
+        ]
+        assert symmetry_group(sigma) == scan, sorted(texts)
+        nontrivial += len(scan) > 1
+    assert nontrivial >= 8  # the cyclic and dihedral sets at least
 
 
 @pytest.mark.parametrize(
