@@ -17,9 +17,11 @@ separability restriction are governed by the plain commutativity graph
 instead: its clique number is reachable by a common eigenstate, and the
 chromatic number caps every state because each colour class is a
 pairwise anticommuting family contributing at most 1.
-``criteria_report`` is the one route from a set to its class and no-cut
-bounds: one ``cut_graphs`` pass yields the graph of every orbit
-representative.  ``bound_for_partition`` serves a single partition.
+``criteria_report`` is the one route from a set to its rows and its
+class and no-cut bounds: one ``cut_graphs`` pass yields the graph of
+every orbit representative.  ``verify`` and ``bounds --verify`` check the
+report's rows, taking each bound from its row.  ``bound_for_partition``
+serves a single partition, as the library's ``verify_bound`` does.
 """
 
 from __future__ import annotations

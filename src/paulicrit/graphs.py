@@ -301,13 +301,6 @@ def _grow_clique(
     return best
 
 
-def _has_clique(adj: tuple[int, ...], cand: int, k: int) -> bool:
-    """Does the candidate bitmask contain a clique of size k?"""
-    if k <= 0:
-        return True
-    return _grow_clique(adj, _complements(adj), 0, 0, cand, k - 1, k, [0]) >= k
-
-
 def check_clique_cap(n: int) -> None:
     """Refuse a clique search on more than ``CLIQUE_VERTEX_CAP`` vertices."""
     if n > CLIQUE_VERTEX_CAP:

@@ -431,16 +431,19 @@ class VerificationRecord:
         }
 
 
-def verify_bound(
-    sigma: OperatorSet, part: Partition, config: OracleConfig | None = None
+def verify_against(
+    sigma: OperatorSet,
+    part: Partition,
+    bound: int,
+    config: OracleConfig | None = None,
 ) -> VerificationRecord:
-    """Compare the clique bound with the oracle's product-state maximum.
+    """Compare a graph bound for the partition with the oracle's
+    product-state maximum.
 
     A violation (oracle above the bound beyond arithmetic tolerance)
     means one of the two routes is defective and must fail loudly in any
     test that sees it.
     """
-    bound = bound_for_partition(sigma, part)[0]
     result = maximize_q_product(sigma, part, config)
     gap = bound - result.best_value
     return VerificationRecord(
@@ -453,3 +456,11 @@ def verify_bound(
         converged=result.converged,
         sweeps=result.iterations_used,
     )
+
+
+def verify_bound(
+    sigma: OperatorSet, part: Partition, config: OracleConfig | None = None
+) -> VerificationRecord:
+    """``verify_against`` on the partition's clique bound from
+    ``bound_for_partition``."""
+    return verify_against(sigma, part, bound_for_partition(sigma, part)[0], config)

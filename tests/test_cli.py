@@ -140,16 +140,20 @@ def test_bounds_cap_exit_code(sigma3_file, capsys, monkeypatch):
     assert "clique search on 8 vertices exceeds cap 7" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["bounds"], ["eval", "--state", "ghz"]])
+@pytest.mark.parametrize(
+    "command", [["bounds"], ["eval", "--state", "ghz"], ["verify"]]
+)
 def test_oversized_set_fails_before_any_search(command, tmp_path, capsys, monkeypatch):
     import paulicrit.bounds as bounds_module
-    import paulicrit.cli as cli_module
+    import paulicrit.cuts as cuts_module
 
     def forbidden(*args, **kwargs):
         raise AssertionError("symmetry search ran on an oversized set")
 
     monkeypatch.setattr(bounds_module, "symmetry_group", forbidden)
-    monkeypatch.setattr(cli_module, "symmetry_group", forbidden)
+    # every symmetry and orbit search grows its orbits here, whichever
+    # module holds the name it was called through
+    monkeypatch.setattr(cuts_module, "_schreier_tree", forbidden)
     letters = "1xyz"
     texts = [
         "".join(letters[(k >> (2 * i)) & 3] for i in range(4)) for k in range(1, 130)
@@ -363,47 +367,38 @@ def test_verify_eq15_bipartition_sweeps(sigma15_file, capsys):
     assert sum(row["sweeps"] for row in bipartitions) < 10_000
 
 
-def test_verify_reports_violation(pair_file, capsys, monkeypatch):
-    import paulicrit.cli as cli_module
-    from paulicrit import Partition
-    from paulicrit.oracle import VerificationRecord
+def _oracle_reaching(value, monkeypatch):
+    """Make every oracle search report ``value`` as its best."""
+    import dataclasses
 
-    fake = VerificationRecord(
-        partition=Partition.finest(2),
-        graph_bound=1,
-        oracle_value=1.5,
-        gap=-0.5,
-        saturated=True,
-        violation=True,
-        converged=True,
-        sweeps=10,
-    )
-    monkeypatch.setattr(cli_module, "verify_bound", lambda *a, **k: fake)
-    assert main(["verify", pair_file]) == 1
-    captured = capsys.readouterr()
-    assert "VIOLATION" in captured.out
-    assert "error:" in captured.err
+    import paulicrit.oracle as oracle_module
+
+    search = oracle_module.maximize_q_product
+
+    def reaching(*args, **kwargs):
+        return dataclasses.replace(search(*args, **kwargs), best_value=value)
+
+    monkeypatch.setattr(oracle_module, "maximize_q_product", reaching)
+
+
+def test_verify_reports_violation(pair_file, capsys, monkeypatch):
+    # A|B has bound 1; 1 + 2e-6 is over it by twice the soundness tolerance
+    _oracle_reaching(1 + 2e-6, monkeypatch)
+    for argv in (["verify", pair_file], ["bounds", pair_file, "--verify"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        row = captured.out.splitlines()[-1].split()
+        assert row[:5] == ["A|B", "1", "1.000002000", "-0.000002000", "VIOLATION"]
+        assert "error:" in captured.err
 
 
 @pytest.mark.parametrize("command", ["verify", "bounds"])
 def test_exact_oracle_value_prints_no_negative_zero_gap(
     command, pair_file, capsys, monkeypatch
 ):
-    import paulicrit.cli as cli_module
-    from paulicrit import Partition
-    from paulicrit.oracle import VerificationRecord
-
-    exact = VerificationRecord(
-        partition=Partition.finest(2),
-        graph_bound=1,
-        oracle_value=1.0000000000000004,
-        gap=-4e-16,
-        saturated=True,
-        violation=False,
-        converged=True,
-        sweeps=12,
-    )
-    monkeypatch.setattr(cli_module, "verify_bound", lambda *a, **k: exact)
+    # one ulp above the bound 1: a gap of -4.4e-16, inside the soundness
+    # tolerance
+    _oracle_reaching(1.0000000000000004, monkeypatch)
     argv = [command, pair_file] + (["--verify"] if command == "bounds" else [])
     assert main(argv) == 0
     out = capsys.readouterr().out
@@ -457,26 +452,21 @@ def test_over_budget_verify_fails_before_any_search(
 
 def test_bounds_verify_runs_one_symmetry_search(sigma15_file, capsys, monkeypatch):
     import paulicrit.bounds as bounds_module
-    import paulicrit.cli as cli_module
 
     calls = []
+    search = bounds_module.symmetry_group
 
-    def counted(original):
-        def wrapper(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        bounds_module, "symmetry_group", counted(bounds_module.symmetry_group)
-    )
-    monkeypatch.setattr(cli_module, "symmetry_group", counted(cli_module.symmetry_group))
+    monkeypatch.setattr(bounds_module, "symmetry_group", counted)
     flags = ["--json", "--restarts", "4", "--seed", "3"]
     assert main(["bounds", sigma15_file, "--verify", *flags]) == 0
     assert len(calls) == 1
     rows = json.loads(capsys.readouterr().out)["verification"]
     assert main(["verify", sigma15_file, *flags]) == 0
+    assert len(calls) == 2
     assert rows == json.loads(capsys.readouterr().out)
     assert [row["partition"] for row in rows] == [
         "A|B|C|D|E", "A|BCDE", "AB|CDE", "ABD|CE"
@@ -539,6 +529,23 @@ def test_bounds_json_matches_golden_file(name, capsys):
     assert main(["bounds", str(DATA / f"{name}.txt"), "--json"]) == 0
     golden = (DATA / f"{name}.bounds.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name", ["ex8", "eq15", "pad4"])
+def test_verify_json_matches_golden_file(name, capsys):
+    """``verify --json --restarts 8`` on the fixture sets: pad4 exits 1 on
+    ABC|D.  The floats may differ by 1e-9 across numpy versions; every
+    other key must match exactly."""
+    code = main(["verify", str(DATA / f"{name}.txt"), "--json", "--restarts", "8"])
+    assert code == (1 if name == "pad4" else 0)
+    golden = json.loads((DATA / f"{name}.verify.json").read_text(encoding="utf-8"))
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == len(golden)
+    for row, want in zip(rows, golden):
+        assert row.keys() == want.keys()
+        for key in ("oracle_value", "gap"):
+            assert row.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-9)
+        assert row == want
 
 
 def test_main_builds_the_parser_once(sigma3_file, capsys, monkeypatch):

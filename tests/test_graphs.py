@@ -30,7 +30,6 @@ from paulicrit.graphs import (
     Graph,
     _complements,
     _grow_clique,
-    _has_clique,
     chromatic_number,
     complement,
     cut_graphs,
@@ -324,23 +323,6 @@ def test_max_clique_witness_probes_below_the_first_clique_found(monkeypatch):
     monkeypatch.setattr(graphs_module, "_grow_clique", counting)
     assert max_clique(g) == CliqueResult(3, (1, 2, 3))
     assert searches == [(0b1111111, 7), (0b10, 2), (0b1100, 2)]
-
-
-def test_has_clique_matches_brute_force():
-    rng = np.random.default_rng(29)
-    for trial in range(40):
-        n = int(rng.integers(1, 11))
-        g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.8)))
-        cand = int(rng.integers(0, 1 << n))
-        sub = [v for v in range(n) if cand >> v & 1]
-        omega = max(
-            r
-            for r in range(len(sub) + 1)
-            for comb in itertools.combinations(sub, r)
-            if all(g.has_edge(i, j) for i, j in itertools.combinations(comb, 2))
-        )
-        for k in range(omega + 2):
-            assert _has_clique(g.adjacency, cand, k) == (k <= omega)
 
 
 def test_max_clique_deterministic():
