@@ -1,10 +1,11 @@
 """Command line surface for bound reports, graphs, evaluation, verification.
 
 ``verify`` and ``bounds --verify`` take one route and print the same rows:
-the ``criteria_report`` of the set, then the oracle on its finest
-partition and its sorted orbit representatives, each against its row's
-bound.  So the symmetry search runs once, and every cap of the report
-applies before the oracle's work budget is charged.
+the oracle's admission check on the finest partition, which every
+verification searches, then the ``criteria_report`` of the set, then the
+oracle on its finest partition and sorted orbit representatives, each
+against its row's bound.  So the symmetry search runs once, and a set the
+oracle can never search is refused before its report is built.
 
 Exit codes: 0 success, 1 soundness violation during verification, 2 for
 parse and input errors, 3 when a size cap is exceeded.  Errors print one
@@ -91,15 +92,20 @@ def _verification_rows(records) -> list[str]:
     return _format_table(rows)
 
 
-def _verification_records(sigma: OperatorSet, report: BoundReport, args) -> list:
+def _admitted_config(sigma: OperatorSet, args) -> OracleConfig:
+    """The oracle settings of ``args``, admitted on the finest partition,
+    which every verification searches, before any report is built."""
+    config = OracleConfig(restarts=args.restarts, seed=args.seed)
+    check_work_budget(sigma, [Partition.finest(sigma.width)], config)
+    return config
+
+
+def _verification_records(
+    sigma: OperatorSet, report: BoundReport, config: OracleConfig
+) -> list:
     """Oracle check of the finest partition and the report's sorted orbit
     representatives against their rows' bounds, refused before any search
     when those partitions together exceed the oracle's work budget."""
-    config = OracleConfig(
-        restarts=args.restarts,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-    )
     finest = Partition.finest(sigma.width)
     reps = sorted({row.orbit for row in report.per_partition.values()})
     parts = [finest] + [rep for rep in reps if rep != finest]
@@ -127,8 +133,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_bounds(args) -> int:
     sigma = _load_sigma(args.sigma)
+    config = _admitted_config(sigma, args) if args.verify else None
     report = criteria_report(sigma, quantum_upper=args.quantum_upper)
-    records = _verification_records(sigma, report, args) if args.verify else None
+    records = None if config is None else _verification_records(sigma, report, config)
     if args.json:
         obj = report.to_json_obj()
         if records is not None:
@@ -206,7 +213,8 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     sigma = _load_sigma(args.sigma)
-    records = _verification_records(sigma, criteria_report(sigma), args)
+    config = _admitted_config(sigma, args)
+    records = _verification_records(sigma, criteria_report(sigma), config)
     if args.json:
         print(json.dumps([rec.to_json_obj() for rec in records], indent=2))
     else:
@@ -247,8 +255,6 @@ def _add_oracle_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="oracle RNG seed")
     sub.add_argument("--restarts", type=int, default=64,
                      help="oracle restart count")
-    sub.add_argument("--max-iterations", type=int, default=2000,
-                     help="ascent sweep budget per restart")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,16 +333,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

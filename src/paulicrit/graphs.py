@@ -17,6 +17,12 @@ re-verified against the adjacency relation before it is returned.
 ``max_clique`` runs one colour-bounded search for the clique number and
 a maximum clique, and keeps that clique as a known completion while it
 rebuilds the lexicographically smallest witness.
+
+``chromatic_number`` deepens from the clique number over one DSATUR
+backtracking search, ``_assign_colours``, whose first descent gives each
+picked vertex the smallest free colour, never above the open palette.  So
+DSATUR greedy is ``_assign_colours`` at k = n, and a probe at its count
+succeeds on that descent: the deepening never passes the greedy count.
 """
 
 from __future__ import annotations
@@ -239,13 +245,6 @@ def _complements(adj: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(~(row | 1 << v) for v, row in enumerate(adj))
 
 
-def _clique_number(adj: tuple[int, ...], n: int) -> int:
-    """Branch and bound with greedy colouring upper bounds."""
-    if n == 0:
-        return 0
-    return _grow_clique(adj, _complements(adj), 0, 0, (1 << n) - 1, 0, n, [0])
-
-
 def _grow_clique(
     adj: tuple[int, ...],
     comp: tuple[int, ...],
@@ -378,28 +377,15 @@ def _dsatur_pick(adj: tuple[int, ...], colours: list[int]) -> tuple[int, set[int
     smallest index) and the colours of its neighbours."""
     pick = -1
     pick_key = (-1, -1, 1)
+    banned: set[int] = set()
     for v, colour in enumerate(colours):
         if colour >= 0:
             continue
-        sat = len({colours[u] for u in _neighbours(adj, v) if colours[u] >= 0})
-        key = (sat, adj[v].bit_count(), -v)
+        seen = {colours[u] for u in _neighbours(adj, v) if colours[u] >= 0}
+        key = (len(seen), adj[v].bit_count(), -v)
         if key > pick_key:
-            pick_key = key
-            pick = v
-    banned = {colours[u] for u in _neighbours(adj, pick) if colours[u] >= 0}
+            pick, pick_key, banned = v, key, seen
     return pick, banned
-
-
-def _greedy_coloring(adj: tuple[int, ...], n: int) -> list[int]:
-    """Saturation-guided greedy proper colouring; deterministic."""
-    colours = [-1] * n
-    for _ in range(n):
-        pick, banned = _dsatur_pick(adj, colours)
-        c = 0
-        while c in banned:
-            c += 1
-        colours[pick] = c
-    return colours
 
 
 def _neighbours(adj: tuple[int, ...], v: int):
@@ -410,16 +396,11 @@ def _neighbours(adj: tuple[int, ...], v: int):
         yield u
 
 
-def _try_coloring(adj: tuple[int, ...], n: int, k: int) -> list[int] | None:
-    """Exact k-colouring by saturation-first backtracking, or None."""
-    colours = [-1] * n
-    return colours if _assign_colours(adj, colours, k, 0, 0) else None
-
-
 def _assign_colours(
     adj: tuple[int, ...], colours: list[int], k: int, done: int, palette: int
 ) -> bool:
-    """Extend a partial colouring (-1 = uncoloured) to k colours, in place."""
+    """Extend a partial colouring (-1 = uncoloured) to k colours, in place;
+    a failed search leaves ``colours`` as it found it."""
     if done == len(colours):
         return True
     pick, banned = _dsatur_pick(adj, colours)
@@ -435,11 +416,8 @@ def _assign_colours(
 
 
 def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact chromatic number and one proper colouring.
-
-    Iterative deepening from the clique-number lower bound up to a greedy
-    upper bound; each probe is a backtracking k-colouring search.
-    """
+    """Exact chromatic number and one proper colouring: the first k from
+    the clique number up whose ``_assign_colours`` probe succeeds."""
     n = g.vertex_count
     if n > COLOR_VERTEX_CAP:
         raise CapExceeded(
@@ -448,23 +426,17 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     if n == 0:
         return 0, ()
     adj = g.adjacency
-    lower = _clique_number(adj, n)
-    greedy = _greedy_coloring(adj, n)
-    upper = max(greedy) + 1
-    best = greedy
-    count = upper
-    for k in range(lower, upper):
-        attempt = _try_coloring(adj, n, k)
-        if attempt is not None:
-            best = attempt
-            count = k
+    omega = _grow_clique(adj, _complements(adj), 0, 0, (1 << n) - 1, 0, n, [0])
+    colours = [-1] * n
+    for count in range(omega, n + 1):
+        if _assign_colours(adj, colours, count, 0, 0):
             break
     for i, j in g.edges():
-        if best[i] == best[j]:
+        if colours[i] == colours[j]:
             raise RuntimeError("colouring failed verification")
-    if len(set(best)) != count:
+    if len(set(colours)) != count:
         raise RuntimeError("colour count failed verification")
-    return count, tuple(best)
+    return count, tuple(colours)
 
 
 def export_dot(g: Graph) -> str:

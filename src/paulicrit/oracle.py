@@ -23,9 +23,10 @@ surveyed and kept only where its exact Q is at least the value after
 the second sweep, so Q never decreases.  A trial is not a sweep:
 settling, convergence and the sweep budget count plain sweeps only.
 
-One work budget, checked before any search, bounds the amplitudes a
-sweep touches: restarts x members x the summed block dimensions, summed
-over the partitions a call or command will search.
+One admission check, ``check_work_budget``, runs before any search: the
+width cap, and a work budget on the amplitudes a sweep touches:
+restarts x members x the summed block dimensions, summed over the
+partitions a call or command will search.
 
 Tolerances are deliberately split: saturation (did the optimizer reach
 the bound) is judged at 1e-3, soundness (did it exceed the bound, which
@@ -58,23 +59,20 @@ SATURATION_TOL = 1e-3
 SOUNDNESS_TOL = 1e-6
 # a restart stops once a sweep gains at most this times max(1, Q)
 CONVERGENCE_TOL = 1e-9
+# sweeps per restart; read at call time, so tests may patch it here
+MAX_SWEEPS = 2000
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Restart and sweep policy; deterministic for a fixed seed."""
+    """Restart policy; deterministic for a fixed seed."""
 
     restarts: int = 64
-    max_iterations: int = 2000
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ValueError(f"restarts must be positive, got {self.restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be positive, got {self.max_iterations}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +80,7 @@ class OracleResult:
     """Best value found, the state that reached it, and search accounting.
 
     ``converged`` reports whether the winning restart met the convergence
-    tolerance before exhausting its iteration budget; ``iterations_used``
+    tolerance within ``MAX_SWEEPS`` sweeps; ``iterations_used``
     is the sum over restarts of the sweeps each restart ran (one sweep is
     one step on every block).
     """
@@ -96,8 +94,14 @@ class OracleResult:
 def check_work_budget(
     sigma: OperatorSet, parts: Sequence[Partition], config: OracleConfig
 ) -> None:
-    """Raise CapExceeded when restarts x members x the summed 2^|block|
-    over ``parts`` exceeds ``ORACLE_WORK_BUDGET``."""
+    """The oracle's one admission check: raise CapExceeded when sigma is
+    wider than ``states.PURE_QUBIT_CAP``, or when restarts x members x the
+    summed 2^|block| over ``parts`` exceeds ``ORACLE_WORK_BUDGET``."""
+    if sigma.width > states.PURE_QUBIT_CAP:
+        raise CapExceeded(
+            f"product search on width {sigma.width} exceeds cap "
+            f"{states.PURE_QUBIT_CAP}"
+        )
     dims = sum(sum(1 << len(block) for block in part.blocks) for part in parts)
     work = config.restarts * len(sigma) * dims
     if work > ORACLE_WORK_BUDGET:
@@ -232,7 +236,6 @@ def _extrapolate(
 def _ascend(
     actions: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
     draws: list[list[np.ndarray]],
-    config: OracleConfig,
 ) -> tuple[float, list[np.ndarray], int, bool]:
     """Block-coordinate ascent on one batch of restarts: the best restart's
     value, factors and converged flag, and the batch's total sweeps."""
@@ -253,7 +256,7 @@ def _ascend(
     # them back
     rows = np.arange(len(draws))
     settled = np.zeros(len(draws), dtype=bool)
-    for sweep in range(config.max_iterations):
+    for sweep in range(MAX_SWEEPS):
         if rows.size == 0:
             break
         if sweep % 2 == 0:
@@ -348,7 +351,7 @@ def maximize_q_product(
     the trial is surveyed and a restart keeps it only if its exact Q is
     at least Q(x2); otherwise, and where v = 0 or the trial is not
     finite, the restart stays at x2.  Trials are not sweeps: they count
-    neither towards ``iterations_used`` and ``max_iterations`` nor
+    neither towards ``iterations_used`` and ``MAX_SWEEPS`` nor
     towards settling and convergence, which plain sweeps alone decide.
     A partition without a block of two or more qubits takes no trial.
 
@@ -362,11 +365,6 @@ def maximize_q_product(
     if sigma.width != part.width:
         raise ValueError(
             f"partition width {part.width} does not match operator width {sigma.width}"
-        )
-    if sigma.width > states.PURE_QUBIT_CAP:
-        raise CapExceeded(
-            f"product search on width {sigma.width} exceeds cap "
-            f"{states.PURE_QUBIT_CAP}"
         )
     check_work_budget(sigma, [part], config)
 
@@ -382,7 +380,7 @@ def maximize_q_product(
     per_restart = len(sigma) * sum(1 << len(b) for b in blocks)
     size = max(1, _BATCH_AMPLITUDES // per_restart)
     runs = [
-        _ascend(actions, draws[start : start + size], config)
+        _ascend(actions, draws[start : start + size])
         for start in range(0, config.restarts, size)
     ]
     # max keeps the first of equal values, so ties go to the lowest restart

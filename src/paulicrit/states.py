@@ -240,10 +240,10 @@ def check_eigenstate_cap(width: int) -> None:
 def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
     """A simultaneous +-1 eigenstate of a pairwise commuting family.
 
-    Sequential projector construction: for each operator keep (1 + P)/2
-    of the running vector, falling back to (1 - P)/2 when the + branch
-    annihilates it.  The fallback branch is then the whole vector, so the
-    sweep cannot die; signs prefer +1 wherever the projector survives.
+    From |0...0>, each operator P keeps (1 + P)/2 of the running vector,
+    or (1 - P)/2 where that annihilates it.  The two halves are orthogonal
+    and sum to a unit vector, so one has norm at least 1/sqrt(2); and P
+    commutes with the earlier projectors, so their +-1 relations survive.
     """
     ops = list(ops)
     if not ops:
@@ -261,37 +261,20 @@ def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
                     f"operators {format_pauli(a)} and {format_pauli(b)} anticommute"
                 )
 
-    dim = 1 << width
-    rng = np.random.default_rng(20240923)
-    for attempt in range(8):
-        if attempt == 0:
-            vec = np.zeros(dim, dtype=complex)
-            vec[0] = 1.0
-        else:
-            vec = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
-            vec /= np.linalg.norm(vec)
-        ok = True
-        for op in ops:
-            moved = apply_pauli(op, vec)
-            plus = 0.5 * (vec + moved)
-            norm = float(np.linalg.norm(plus))
-            if norm >= 1e-6:
-                vec = plus / norm
-                continue
-            minus = 0.5 * (vec - moved)
-            norm = float(np.linalg.norm(minus))
-            if norm < 1e-6:
-                ok = False
-                break
-            vec = minus / norm
-        if not ok:
-            continue
-        if all(
-            abs(abs(float(np.vdot(vec, apply_pauli(op, vec)).real)) - 1.0) <= 1e-8
-            for op in ops
-        ):
-            return QuantumState.pure(vec)
-    raise RuntimeError("no common eigenstate found for the commuting family")
+    vec = np.zeros(1 << width, dtype=complex)
+    vec[0] = 1.0
+    for op in ops:
+        moved = apply_pauli(op, vec)
+        half = 0.5 * (vec + moved)
+        if np.linalg.norm(half) < 1e-6:
+            half = 0.5 * (vec - moved)
+        vec = half / np.linalg.norm(half)
+    if not all(
+        abs(abs(float(np.vdot(vec, apply_pauli(op, vec)).real)) - 1.0) <= 1e-8
+        for op in ops
+    ):
+        raise RuntimeError("no common eigenstate found for the commuting family")
+    return QuantumState.pure(vec)
 
 
 def assemble_product(part: Partition, factors: Sequence[np.ndarray]) -> QuantumState:

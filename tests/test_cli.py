@@ -124,11 +124,13 @@ def test_bounds_unparseable_file(tmp_path, capsys):
 def test_bounds_cap_exit_code(sigma3_file, capsys, monkeypatch):
     import paulicrit.graphs as graphs_module
 
-    # caps are fixed: no flag raises or lowers them
+    # caps and the sweep budget are fixed: no flag raises or lowers them
     for argv in (
         ["bounds", sigma3_file, "--clique-cap", "3"],
         ["bounds", sigma3_file, "--color-cap", "3"],
         ["eval", sigma3_file, "--state", "ghz", "--clique-cap", "3"],
+        ["verify", sigma3_file, "--max-iterations", "5"],
+        ["bounds", sigma3_file, "--verify", "--max-iterations", "5"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -448,6 +450,22 @@ def test_over_budget_verify_fails_before_any_search(
         argv.append("--verify")
     assert main(argv) == 3
     assert "work budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["bounds", "--verify"]])
+def test_too_wide_verify_fails_before_the_report(
+    command, tmp_path, capsys, monkeypatch
+):
+    import paulicrit.bounds as bounds_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report built for a set the oracle cannot search")
+
+    monkeypatch.setattr(bounds_module, "symmetry_group", forbidden)
+    path = tmp_path / "width13.txt"
+    path.write_text("z" * 13 + "\n" + "x" * 13 + "\n")
+    assert main([command[0], str(path), *command[1:]]) == 3
+    assert "product search on width 13 exceeds cap 12" in capsys.readouterr().err
 
 
 def test_bounds_verify_runs_one_symmetry_search(sigma15_file, capsys, monkeypatch):

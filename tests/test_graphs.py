@@ -28,6 +28,7 @@ from paulicrit.cuts import cut_commute
 from paulicrit.graphs import (
     CliqueResult,
     Graph,
+    _assign_colours,
     _complements,
     _grow_clique,
     chromatic_number,
@@ -36,6 +37,9 @@ from paulicrit.graphs import (
     export_dot,
 )
 from paulicrit.pauli import PauliString
+
+# the width-4 set whose clique number is not an upper bound on ABC|D
+PAD4 = OperatorSet.from_strings("xy11 1x11 xzy1 1yx1 yyz1 xzz1 xx11 zxx1".split())
 
 
 def brute_clique_number(g):
@@ -352,6 +356,43 @@ def test_independence_whole_set_anticommute(sigma3):
     assert independence_number(g).size == 4
 
 
+def reference_dsatur(adj):
+    """Standalone DSATUR greedy colouring: the uncoloured vertex of largest
+    saturation (ties: larger degree, then smaller index) takes the smallest
+    colour its neighbours leave free."""
+    n = len(adj)
+    colours = [-1] * n
+
+    def neighbour_colours(v):
+        return {colours[u] for u in range(n) if adj[v] >> u & 1 and colours[u] >= 0}
+
+    for _ in range(n):
+        pick = max(
+            (v for v in range(n) if colours[v] < 0),
+            key=lambda v: (len(neighbour_colours(v)), adj[v].bit_count(), -v),
+        )
+        banned = neighbour_colours(pick)
+        colours[pick] = min(c for c in range(n) if c not in banned)
+    return colours
+
+
+def test_first_descent_is_dsatur_greedy(sigma3, sigma15):
+    # the probe at k = n never backtracks, so it returns the greedy colouring
+    graphs = []
+    for sigma in (sigma3, sigma15, PAD4):
+        width = sigma.width
+        parts = [Partition.finest(width), Partition.single_block(width)]
+        graphs.extend(cut_graphs(sigma, parts + enumerate_bipartitions(width)))
+    rng = np.random.default_rng(43)
+    for _ in range(50):
+        n = int(rng.integers(1, 25))
+        graphs.append(random_graph(rng, n, p=float(rng.uniform(0.1, 0.9))))
+    for g in graphs:
+        colours = [-1] * g.vertex_count
+        assert _assign_colours(g.adjacency, colours, g.vertex_count, 0, 0)
+        assert colours == reference_dsatur(g.adjacency)
+
+
 def test_chromatic_number_known_graphs():
     k5 = Graph.from_edges("abcde", list(itertools.combinations(range(5), 2)))
     assert chromatic_number(k5)[0] == 5
@@ -364,6 +405,10 @@ def test_chromatic_number_known_graphs():
     )
     assert chromatic_number(k33)[0] == 2
     assert chromatic_number(Graph((), ())) == (0, ())
+    # pad4's no-cut graph has omega 2, so its probe at k = 2 fails
+    plain = build_graph(PAD4, Partition.single_block(4), "commute")
+    assert max_clique(plain).size == 2
+    assert chromatic_number(plain)[0] == 3
 
 
 def test_chromatic_number_matches_brute_force():

@@ -36,12 +36,10 @@ PAD4 = OperatorSet.from_strings("xy11 1x11 xzy1 1yx1 yyz1 xzz1 xx11 zxx1".split(
 def test_config_defaults_and_validation():
     config = OracleConfig()
     assert config.restarts == 64
-    assert config.max_iterations == 2000
+    assert oracle_module.MAX_SWEEPS == 2000
     assert config.seed == 0
     with pytest.raises(ValueError):
         OracleConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OracleConfig(max_iterations=0)
 
 
 def test_product_search_two_qubit_pair():
@@ -81,7 +79,7 @@ def test_product_search_seed_insensitive_at_the_optimum(sigma3):
     assert a.best_value == pytest.approx(b.best_value, abs=1e-6)
 
 
-def test_more_sweeps_never_lose_value(sigma3, sigma15):
+def test_more_sweeps_never_lose_value(sigma3, sigma15, monkeypatch):
     # every block step is monotone and a squared-extrapolation trial is kept
     # only where Q does not drop, so a longer budget never ends lower; odd
     # budgets end between the two sweeps of a cycle, and 32 and 64 sweeps
@@ -106,7 +104,8 @@ def test_more_sweeps_never_lose_value(sigma3, sigma15):
     for name, search in searches.items():
         values = []
         for n in (*range(1, 13), 32, 64):
-            result = search(OracleConfig(restarts=2, max_iterations=n, seed=2))
+            monkeypatch.setattr(oracle_module, "MAX_SWEEPS", n)
+            result = search(OracleConfig(restarts=2, seed=2))
             # a trial is not a sweep
             assert result.iterations_used <= 2 * n, name
             values.append(result.best_value)
@@ -318,13 +317,14 @@ def test_verify_bound_pair():
     assert record.gap == pytest.approx(0.0, abs=1e-6)
 
 
-def test_verify_bound_three_qubit(sigma3):
+def test_verify_bound_three_qubit(sigma3, monkeypatch):
     record = verify_bound(sigma3, parse_partition("A|BC", 3), FAST)
     assert record.graph_bound == 2
     assert record.saturated
     assert not record.violation
     assert record.converged
-    one_sweep = OracleConfig(restarts=2, max_iterations=1)
+    monkeypatch.setattr(oracle_module, "MAX_SWEEPS", 1)
+    one_sweep = OracleConfig(restarts=2)
     assert not verify_bound(sigma3, parse_partition("A|BC", 3), one_sweep).converged
 
 

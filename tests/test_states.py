@@ -272,6 +272,11 @@ def test_common_eigenstate_needs_consistent_signs():
     for v in values:
         assert abs(abs(v) - 1.0) < 1e-8
     assert np.prod(values) == pytest.approx(-1.0, abs=1e-8)
+    # from |00>, xx and zz keep the Bell state (|00> + |11>)/sqrt(2), which
+    # yy sends to its negative: the + projector of yy annihilates it
+    ops = [parse_pauli("xx"), parse_pauli("zz"), parse_pauli("yy")]
+    values = [expectation(common_eigenstate(ops), op) for op in ops]
+    assert values == pytest.approx([1.0, 1.0, -1.0], abs=1e-12)
 
 
 def test_common_eigenstate_rejects_bad_input():
