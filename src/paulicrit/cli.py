@@ -7,6 +7,11 @@ oracle on its finest partition and sorted orbit representatives, each
 against its row's bound.  So the symmetry search runs once, and a set the
 oracle can never search is refused before its report is built.
 
+numpy loads only with ``states`` and ``oracle``, which this module imports
+inside the commands that use them: ``verify``, ``eval``, ``bounds
+--verify`` and ``generate --clique-state``.  ``bounds``, ``graph`` and
+``generate --cp`` run on the bit-level modules alone and never import it.
+
 Exit codes: 0 success, 1 soundness violation during verification, 2 for
 parse and input errors, 3 when a size cap is exceeded.  Errors print one
 diagnostic line to standard error.
@@ -21,23 +26,41 @@ import sys
 from typing import Sequence
 
 from . import graphs
-# no command calls these three; bench/spans.py wraps them by name here
-from . import orbit_representatives, symmetry_group, verify_bound  # noqa: F401
 from .bounds import BoundReport, classify, criteria_report
 from .cuts import Partition, parse_partition
+# no command calls these two or verify_bound below; bench/spans.py wraps
+# them by name here, so they stay until a change to the benchmark drops
+# them from its targets (CHANGES.md names this)
+from .cuts import orbit_representatives, symmetry_group  # noqa: F401
 from .errors import CapExceeded, ParseError
 from .graphs import build_graph, export_dot, max_clique
-from .oracle import OracleConfig, check_work_budget, verify_against
 from .pauli import OperatorSet, cp_expand, parse_pauli
-from .states import (
-    check_eigenstate_cap,
-    common_eigenstate,
-    evaluate_q,
-    load_state,
-    state_to_json_obj,
-)
 
 _NAMED_STATES = ("ghz", "w", "smolin", "basis")
+
+
+# These three stay names of this module, which the commands call through,
+# because bench/spans.py wraps ``cli.evaluate_q``, ``cli.load_state`` and
+# ``cli.verify_bound``.
+def evaluate_q(state, sigma: OperatorSet):
+    """``states.evaluate_q``, imported on first call: it loads numpy."""
+    from .states import evaluate_q
+
+    return evaluate_q(state, sigma)
+
+
+def load_state(path):
+    """``states.load_state``, imported on first call: it loads numpy."""
+    from .states import load_state
+
+    return load_state(path)
+
+
+def verify_bound(sigma: OperatorSet, part: Partition, config=None):
+    """``oracle.verify_bound``, imported on first call: it loads numpy."""
+    from .oracle import verify_bound
+
+    return verify_bound(sigma, part, config)
 
 
 def _load_sigma(path: str) -> OperatorSet:
@@ -92,20 +115,22 @@ def _verification_rows(records) -> list[str]:
     return _format_table(rows)
 
 
-def _admitted_config(sigma: OperatorSet, args) -> OracleConfig:
+def _admitted_config(sigma: OperatorSet, args):
     """The oracle settings of ``args``, admitted on the finest partition,
     which every verification searches, before any report is built."""
+    from .oracle import OracleConfig, check_work_budget
+
     config = OracleConfig(restarts=args.restarts, seed=args.seed)
     check_work_budget(sigma, [Partition.finest(sigma.width)], config)
     return config
 
 
-def _verification_records(
-    sigma: OperatorSet, report: BoundReport, config: OracleConfig
-) -> list:
+def _verification_records(sigma: OperatorSet, report: BoundReport, config) -> list:
     """Oracle check of the finest partition and the report's sorted orbit
     representatives against their rows' bounds, refused before any search
     when those partitions together exceed the oracle's work budget."""
+    from .oracle import check_work_budget, verify_against
+
     finest = Partition.finest(sigma.width)
     reps = sorted({row.orbit for row in report.per_partition.values()})
     parts = [finest] + [rep for rep in reps if rep != finest]
@@ -238,6 +263,8 @@ def cmd_generate(args) -> int:
             raise ParseError(str(exc)) from exc
         _write_output("\n".join(sigma.texts()) + "\n", args.output)
         return 0
+    from .states import check_eigenstate_cap, common_eigenstate, state_to_json_obj
+
     sigma = _load_sigma(args.clique_state)
     # the eigenstate's width cap is cheap; refuse before the clique search
     check_eigenstate_cap(sigma.width)

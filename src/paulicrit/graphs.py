@@ -9,7 +9,12 @@ of every given partition from transposed (per-site) member bitmasks, and
 ``build_graph`` is its single-partition form.  ``Graph`` checks every
 graph it is given for range, self loops and symmetry; the kernel instead
 proves its per-site matrices symmetric once per call, which makes every
-graph it yields symmetric by construction.
+graph it yields symmetric by construction.  That check, ``_asymmetry``,
+is pure int: ``_stack`` pads rows to a power-of-two bit width, so a
+stack is already a square bit matrix that log2(side) delta swaps
+transpose.  This module imports no numpy, and neither do ``bounds`` and
+``graph`` runs, which would otherwise spend more time importing numpy
+than building their graphs.
 
 ``max_clique`` and ``chromatic_number`` are exact and deterministic:
 runs on equal inputs return identical results, and every witness is
@@ -27,10 +32,9 @@ succeeds on that descent: the deepening never passes the greedy count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
-
-import numpy as np
 
 from .cuts import Partition
 from .errors import CapExceeded
@@ -45,22 +49,63 @@ COLOR_VERTEX_CAP = 64
 GRAPH_VERTEX_CAP = 2048
 
 
+def _side(n: int) -> int:
+    """Row width in bits of the ``_stack`` layout: the smallest power of
+    two that holds n bits, and at least one byte."""
+    return max(8, 1 << (n - 1).bit_length())
+
+
 def _stack(rows: Iterable[int], n: int) -> int:
-    """One int holding the low n bits of each row, ceil(n / 8) bytes a row."""
-    stride = -(-n // 8)
+    """One int holding each row in ``_side(n)`` bits, row i from bit
+    i * side, so n rows fill the top of a side-by-side bit matrix."""
+    stride = _side(n) // 8
     raw = b"".join(r.to_bytes(stride, "little") for r in rows)
     return int.from_bytes(raw, "little")
 
 
+@functools.lru_cache(maxsize=4)
+def _transpose_rounds(side: int) -> tuple[tuple[int, bytes], ...]:
+    """(shift, mask) of each delta-swap round that transposes a
+    side-by-side bit matrix, the mask as bytes.  Round d exchanges bit
+    (i, j) with bit (i + d, j - d) wherever bit d of i is clear and bit d
+    of j is set, which swaps bit d of i with bit d of j; the rounds for
+    d = 1, 2, 4, ... < side together swap i with j.  The masks of one side
+    take log2(side) times the bytes of one matrix, 5.6 MB at side 2048."""
+    stride = side // 8
+    zero = bytes(stride)
+    rounds = []
+    d = 1
+    while d < side:
+        row = sum(1 << j for j in range(side) if j & d).to_bytes(stride, "little")
+        mask = b"".join(zero if i & d else row for i in range(side))
+        rounds.append((d * (side - 1), mask))
+        d <<= 1
+    return tuple(rounds)
+
+
 def _asymmetry(stacked: list[int], n: int) -> tuple[int, int, int] | None:
-    """First (matrix, i, j) where a stacked n-by-n bit matrix (``_stack``
-    layout) differs from its transpose, or None when all are symmetric."""
-    stride = -(-n // 8)
-    raw = b"".join(m.to_bytes(n * stride, "little") for m in stacked)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(stacked), n, stride)
-    bits = np.unpackbits(packed, axis=2, count=n, bitorder="little").astype(bool)
-    bad = np.argwhere(bits != bits.transpose(0, 2, 1))
-    return tuple(int(k) for k in bad[0]) if bad.size else None
+    """First (matrix, i, j) in row-major order where a stacked n-by-n bit
+    matrix (``_stack`` layout, no bit at or past column n) differs from
+    its transpose, or None when all are symmetric.
+
+    Pure int: the matrices are laid end to end in one int and transposed
+    together by log2(side) delta swaps, so the check needs no numpy."""
+    side = _side(n)
+    size = side * side // 8
+    bits = int.from_bytes(
+        b"".join(m.to_bytes(size, "little") for m in stacked), "little"
+    )
+    flipped = bits
+    for shift, mask in _transpose_rounds(side):
+        swap = (flipped ^ flipped >> shift) & int.from_bytes(
+            mask * len(stacked), "little"
+        )
+        flipped ^= swap ^ swap << shift
+    diff = bits ^ flipped
+    if not diff:
+        return None
+    matrix, at = divmod((diff & -diff).bit_length() - 1, side * side)
+    return (matrix, *divmod(at, side))
 
 
 @dataclass(frozen=True)
@@ -175,7 +220,7 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
         for k in range(width):
             xcol[k] |= (m.x_bits >> k & 1) << j
             zcol[k] |= (m.z_bits >> k & 1) << j
-    stride = -(-n // 8)  # bytes per stacked row
+    stride = _side(n) // 8  # bytes per stacked row
 
     odd_at = [
         _stack(

@@ -16,23 +16,17 @@ popcount(p.x & q.z) + popcount(p.z & q.x) is odd; everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import CapExceeded, ParseError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Dense matrices grow as 4**width; keep them to desk scale.
 MATRIX_QUBIT_CAP = 6
 
 _LETTERS = "1xzy"  # indexed by (z_bit << 1) | x_bit
-
-_SITE_MATRICES = {
-    "1": np.eye(2, dtype=complex),
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -140,14 +134,25 @@ def permute(p: PauliString, perm: Sequence[int]) -> PauliString:
 
 
 def to_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2**width complex matrix, up to ``MATRIX_QUBIT_CAP`` qubits."""
+    """Dense 2**width complex matrix, up to ``MATRIX_QUBIT_CAP`` qubits.
+
+    numpy is imported here, its one use in this module, so that parsing
+    and the bit-level modules built on this one never load it."""
+    import numpy as np
+
     if p.width > MATRIX_QUBIT_CAP:
         raise CapExceeded(
             f"dense matrix for width {p.width} exceeds cap {MATRIX_QUBIT_CAP}"
         )
+    site_matrices = {
+        "1": np.eye(2, dtype=complex),
+        "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+        "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+        "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    }
     out = np.array([[1.0 + 0.0j]])
     for site in range(p.width):
-        out = np.kron(out, _SITE_MATRICES[p.letter(site)])
+        out = np.kron(out, site_matrices[p.letter(site)])
     return out
 
 

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import paulicrit
 from paulicrit import OperatorSet, parse_pauli
 from paulicrit.pauli import cp_expand
 
@@ -18,6 +24,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs a ``python -c`` snippet with arguments in a new interpreter
+    that imports this checkout's package, and returns the finished process
+    with its text output."""
+    src = str(Path(paulicrit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(snippet: str, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", snippet, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    return run
 
 
 @pytest.fixture()

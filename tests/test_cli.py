@@ -556,14 +556,63 @@ def test_verify_json_matches_golden_file(name, capsys):
     other key must match exactly."""
     code = main(["verify", str(DATA / f"{name}.txt"), "--json", "--restarts", "8"])
     assert code == (1 if name == "pad4" else 0)
+    _assert_verify_golden(json.loads(capsys.readouterr().out), name)
+
+
+def _assert_verify_golden(rows, name):
     golden = json.loads((DATA / f"{name}.verify.json").read_text(encoding="utf-8"))
-    rows = json.loads(capsys.readouterr().out)
     assert len(rows) == len(golden)
     for row, want in zip(rows, golden):
         assert row.keys() == want.keys()
         for key in ("oracle_value", "gap"):
             assert row.pop(key) == pytest.approx(want.pop(key), rel=0, abs=1e-9)
         assert row == want
+
+
+# a new interpreter in which ``import numpy`` fails, running the CLI
+NO_NUMPY = (
+    "import sys\n"
+    "sys.modules['numpy'] = None\n"
+    "from paulicrit.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("name", GOLDEN_SETS)
+def test_bounds_json_runs_without_numpy(name, fresh_python):
+    run = fresh_python(NO_NUMPY, "bounds", str(DATA / f"{name}.txt"), "--json")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == (DATA / f"{name}.bounds.json").read_text(encoding="utf-8")
+
+
+def test_graph_and_generate_run_without_numpy(fresh_python, capsys):
+    eq15 = str(DATA / "eq15.txt")
+    assert main(["graph", eq15, "--json"]) == 0
+    graph = fresh_python(NO_NUMPY, "graph", eq15, "--json")
+    assert (graph.returncode, graph.stderr) == (0, "")
+    assert graph.stdout == capsys.readouterr().out
+    cp = fresh_python(NO_NUMPY, "generate", "--cp", "1xxxz,1zxxz,1zxzz")
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert cp.stdout == (DATA / "eq15.txt").read_text(encoding="utf-8")
+
+
+def test_cli_import_leaves_numpy_to_the_oracle(fresh_python):
+    """``import paulicrit.cli`` loads no numpy; ``verify`` loads it on
+    first use and still matches its golden rows.  Under ``NO_NUMPY``,
+    ``verify`` fails, which shows that its block takes effect."""
+    ex8 = str(DATA / "ex8.txt")
+    script = (
+        "import sys\n"
+        "import paulicrit.cli\n"
+        "assert 'numpy' not in sys.modules, 'import paulicrit.cli loaded numpy'\n"
+        "sys.exit(paulicrit.cli.main(sys.argv[1:]))\n"
+    )
+    run = fresh_python(script, "verify", ex8, "--json", "--restarts", "8")
+    assert run.returncode == 0, run.stderr
+    _assert_verify_golden(json.loads(run.stdout), "ex8")
+    blocked = fresh_python(NO_NUMPY, "verify", ex8, "--json", "--restarts", "8")
+    assert blocked.returncode != 0
+    assert "import of numpy halted" in blocked.stderr
 
 
 def test_main_builds_the_parser_once(sigma3_file, capsys, monkeypatch):

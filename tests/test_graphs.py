@@ -29,8 +29,10 @@ from paulicrit.graphs import (
     CliqueResult,
     Graph,
     _assign_colours,
+    _asymmetry,
     _complements,
     _grow_clique,
+    _stack,
     chromatic_number,
     complement,
     cut_graphs,
@@ -220,6 +222,43 @@ def test_cut_graphs_refuse_an_asymmetric_site_matrix(monkeypatch):
     graphs = cut_graphs(sigma, [Partition.finest(4)])
     with pytest.raises(RuntimeError, match=r"site 0 .* not symmetric at \(0, 1\)"):
         next(graphs)
+
+
+def brute_asymmetry(matrices, n):
+    """First (matrix, i, j) in row-major order where a list of n-bit rows
+    differs from its transpose, built bit by bit."""
+    for k, rows in enumerate(matrices):
+        transposed = [0] * n
+        for i, row in enumerate(rows):
+            for j in range(n):
+                transposed[j] |= (row >> j & 1) << i
+        for i in range(n):
+            diff = rows[i] ^ transposed[i]
+            if diff:
+                return k, i, (diff & -diff).bit_length() - 1
+    return None
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 40, 45, 63, 64, 65, 127, 128])
+def test_asymmetry_matches_a_brute_force_transpose(n):
+    rng = random.Random(n)
+    for trial in range(8):
+        matrices = []
+        for _ in range(rng.randint(1, 3)):
+            rows = [0] * n
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.5:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            matrices.append(rows)
+        # odd trials flip one bit; off the diagonal that breaks symmetry
+        if trial % 2 and n:
+            rows = matrices[rng.randrange(len(matrices))]
+            rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        want = brute_asymmetry(matrices, n)
+        assert want is None or trial % 2
+        assert _asymmetry([_stack(rows, n) for rows in matrices], n) == want
 
 
 def test_cut_graphs_match_pair_rule_wide():

@@ -1,7 +1,10 @@
 """The README's examples and its public-name count stay true."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
 
 import paulicrit
 from paulicrit.cli import main
@@ -53,6 +56,29 @@ def test_public_names_are_pinned():
     assert set(paulicrit.__all__) == PUBLIC
     assert all(hasattr(paulicrit, name) for name in PUBLIC)
     assert f"`paulicrit.__all__` ({len(PUBLIC)} names)" in README
+    assert PUBLIC <= set(dir(paulicrit))
+    with pytest.raises(AttributeError, match="module 'paulicrit' has no attribute 'nope'"):
+        paulicrit.nope
+
+
+def test_public_names_resolve_in_a_new_interpreter(fresh_python):
+    """The names resolve on first access, so ``import *`` in a new
+    interpreter binds all of them, and bench/run.py's submodule import
+    works beside them."""
+    script = (
+        "import json\n"
+        "names = {}\n"
+        "exec('from paulicrit import *', names)\n"
+        "from paulicrit import bounds, cli, cuts, oracle, pauli, states\n"
+        "print(json.dumps(sorted(k for k, v in names.items()"
+        " if k != '__builtins__' and v is not None)))\n"
+        "print(cli.__name__, states.__name__)\n"
+    )
+    run = fresh_python(script)
+    assert run.returncode == 0, run.stderr
+    star, modules = run.stdout.splitlines()
+    assert set(json.loads(star)) == PUBLIC
+    assert modules == "paulicrit.cli paulicrit.states"
 
 
 def test_readme_bounds_example_is_verbatim(tmp_path, capsys):
