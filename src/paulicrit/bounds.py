@@ -165,18 +165,19 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     width = sigma.width
     # every graph below has one vertex per member; refuse before any search
     check_clique_cap(len(sigma))
-    notes: list[str] = []
-    try:
-        group = symmetry_group(sigma)
-    except CapExceeded as exc:
-        group = [tuple(range(width))]
-        notes.append(f"identity group used: {exc}; orbits not pruned")
-
     finest = Partition.finest(width)
     bipartitions = enumerate_bipartitions(width) if width >= 2 else []
     # at width 2 the finest partition is the one bipartition
     parts = [finest] + [p for p in bipartitions if p != finest]
-    orbits = partition_orbits(parts, group)
+    notes: list[str] = []
+    try:
+        group = symmetry_group(sigma)
+        gens, order = group.generators, len(group)
+    except CapExceeded as exc:
+        gens, order = (), 1
+        notes.append(f"identity group used: {exc}; orbits not pruned")
+    # generators are symmetries, so all they generate are; witnesses re-checked
+    orbits = partition_orbits(parts, gens)
     identity = tuple(range(width))
 
     # one graph per orbit, from one pass of the cut kernel; first-met order
@@ -212,7 +213,7 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     upper = chromatic_number(plain)[0] if quantum_upper else None
 
     notes.append(
-        f"symmetry group order {len(group)}; "
+        f"symmetry group order {order}; "
         f"{len(parts)} partitions in {len(reps)} orbits"
     )
     notes.append(

@@ -21,20 +21,16 @@ carrier t_p sending i to p, and each site j > i outside that orbit gets
 one depth-first search for the first image that fixes 0..i-1 and sends i
 to j.  A leaf found is a new generator; an exhausted subtree proves that
 no element sends i to j.  So one search runs per coset, not per element.
-The group is then listed as the products t_0∘t_1∘...∘t_{n-2} of
-carriers, |G| = the product of the orbit sizes.  Its group property is
-proved from
-generators rather than by composing every pair (``_generators``): walking
-the elements in sorted order, an element joins the generators when the
-closure of the earlier ones misses it, and that closure grows
-breadth-first with every product required to lie in the set.  This costs
-|G|·|gens| compositions with |gens| <= log2 |G|.  In a finite set,
-closure under composition implies closure under inverse, so no inverse
-check is needed.  The proof runs once per use, inside the one orbit
-routine ``partition_orbits``: it builds one Schreier tree per orbit over
-the generators, the orbit's minimum is its representative, and each
-member carries a group element mapping the representative onto it, so no
-caller scans the whole group.
+``symmetry_group`` returns the chain (``SymmetryChain``): the generators
+and the carriers of each level, with |G| the product of the orbit sizes.
+Every generator is a leaf of the search, which maps the set onto itself,
+so every element the generators compose is a symmetry too and no closure
+proof is needed.  The elements are listed, as the products
+t_0∘t_1∘...∘t_{n-2} of carriers, only when the chain is iterated.  The one
+orbit routine ``partition_orbits`` works from generators alone: it builds
+one Schreier tree per orbit, the orbit's minimum is its representative,
+and each member carries a group element mapping the representative onto
+it, so no caller scans the whole group.
 
 Partitions are stored canonically: sites sorted inside each block, blocks
 sorted by their smallest site.  Text forms use block letters A, B, C, ...
@@ -43,12 +39,12 @@ for widths up to 26 (``AC|BDE``) or comma-separated indices (``0,2|1,3,4``).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from operator import add, itemgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from operator import add
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapExceeded, ParseError
 from .pauli import OperatorSet, PauliString
@@ -56,13 +52,17 @@ from .pauli import OperatorSet, PauliString
 # The symmetry search is factorial in the worst case; stop well before that hurts.
 SYMMETRY_WIDTH_CAP = 12
 # A search node at depth d tests the n - d unused columns, each against
-# every member, so it is charged members * (n - d) column tests.  Listing
-# the group is charged order * members before any element is built.  A
-# fully symmetric set of width w with m members has order w!: 40 320 * 84
-# = 3 386 880 at width 8 (after 9 996 tests of coset search) is admitted,
-# while 9! * 108 = 39 191 040 at width 9 and 12! * 198 at width 12 trip
-# within milliseconds, before any element is listed.
+# every member, so it is charged members * (n - d) column tests.  Only
+# listing the group (iterating the chain; reports never do) is charged
+# order * members, before any element is built.  A fully symmetric set of
+# width w has order w!: its search costs 9 996 tests at width 8, where
+# listing 40 320 * 84 = 3 386 880 is admitted, while listing 9! * 108 =
+# 39 191 040 at width 9 and 12! * 198 at width 12 trips within milliseconds.
 SYMMETRY_WORK_BUDGET = 12_000_000
+# A report's time doubles per qubit.  On a 2-CPU VM, bounds on random sets
+# at width 16 took 2.8 s with 10 members and 34.5 s with 128 (the clique
+# cap); width 17 took 6.3 s with 10, so 128 members would pass 60 s there.
+BIPARTITION_CAP = 32_767
 
 T = TypeVar("T")
 
@@ -162,9 +162,15 @@ def parse_partition(text: str, width: int) -> Partition:
 
 
 def enumerate_bipartitions(width: int) -> list[Partition]:
-    """All two-block partitions, in sorted order; 2**(width-1) - 1 of them."""
+    """All two-block partitions, in sorted order; 2**(width-1) - 1 of them,
+    refused before any is built when that is over ``BIPARTITION_CAP``."""
     if width < 2:
         raise ValueError("bipartitions need at least 2 qubits")
+    count = (1 << (width - 1)) - 1
+    if count > BIPARTITION_CAP:
+        raise CapExceeded(
+            f"{count} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
+        )
     parts: list[Partition] = []
     for mask in range(1, 1 << (width - 1)):
         # Qubit 0 always stays in the first block, killing the mirror double count.
@@ -248,60 +254,50 @@ def _charge(work: int, cost: int, width: int) -> int:
     return work
 
 
-def _generators(group: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Generators of a permutation set, proving that it is a group.
+@dataclass(frozen=True)
+class SymmetryChain:
+    """Stabilizer chain of a set's qubit symmetries, from ``symmetry_group``.
 
-    Elements are walked in sorted order; one joins the generators when the
-    closure of the earlier generators does not contain it.  The closure
-    grows breadth-first under right multiplication by the generators, and
-    every product must lie in the set, else ``RuntimeError``.  Once the
-    walk ends the closure is the whole set, so the set is the group the
-    generators generate.  Each element meets each generator once, so the
-    proof costs |G|·|gens| compositions, and |gens| <= log2 |G| because
-    every new generator at least doubles the closure.
+    ``transversals`` holds the carriers of sites n-2 down to 0.  ``len()``
+    is the group order.  Iterating lists the elements in sorted order; the
+    listing is charged order * ``member_count`` column tests, and must hold
+    exactly order distinct elements and the identity (both checked).
     """
-    members = set(group)
-    identity = tuple(range(len(group[0])))
-    if identity not in members:
-        raise ValueError("symmetry group must contain the identity")
-    closure = {identity}
-    gens: list[tuple[int, ...]] = []
-    steps: list[itemgetter] = []
-    for g in sorted(members):
-        if g in closure:
-            continue
-        gens.append(g)
-        steps.append(itemgetter(*g))
-        every = tuple(steps)
-        # elements already in the closure still lack the new generator
-        queue = deque((e, every[-1:]) for e in closure)
-        while queue:
-            e, apply = queue.popleft()
-            for step in apply:
-                product = step(e)  # e composed with a generator: e[g[i]]
-                if product not in members:
-                    raise RuntimeError(
-                        "symmetry result not closed under composition"
-                    )
-                if product not in closure:
-                    closure.add(product)
-                    queue.append((product, every))
-    return gens
+
+    width: int
+    generators: tuple[tuple[int, ...], ...]
+    transversals: tuple[tuple[tuple[int, ...], ...], ...]
+    member_count: int
+
+    def __len__(self) -> int:
+        return prod(len(carriers) for carriers in self.transversals)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        order = len(self)
+        _charge(0, order * self.member_count, self.width)
+        identity = tuple(range(self.width))
+        found = [identity]
+        # levels n-2 down to 0, so each product is t_0∘t_1∘...∘t_{n-2}
+        for carriers in self.transversals:
+            found = [tuple(map(t.__getitem__, h)) for t in carriers for h in found]
+        if len(set(found)) != order:
+            raise RuntimeError("symmetry listing does not match the group order")
+        found.sort()
+        if found[:1] != [identity]:  # the identity sorts first
+            raise RuntimeError("symmetry search lost the identity")
+        return iter(found)
 
 
-def symmetry_group(sigma: OperatorSet) -> list[tuple[int, ...]]:
-    """All qubit relabelings that map the operator set onto itself, sorted.
+def symmetry_group(sigma: OperatorSet) -> SymmetryChain:
+    """The qubit relabelings that map the operator set onto itself.
 
-    Returned in the convention of ``pauli.permute``: entry g[i] is the new
-    label of qubit i.  A stabilizer chain (see the module docstring) finds
-    one element per coset: at each level, a first-leaf search over images,
-    with a multiset pruning test on letter-column prefixes, for each site
-    not yet in the orbit.  Worst case factorial, so the width is capped
-    (``SYMMETRY_WIDTH_CAP``) and so is the work (``SYMMETRY_WORK_BUDGET``),
-    which charges the search nodes and then order * members for listing
-    the carrier products.  The listing must hold exactly order distinct
-    elements and the identity (both checked).  Its closure is proved
-    where it is used: ``partition_orbits`` runs ``_generators`` on it.
+    Elements follow the convention of ``pauli.permute``: entry g[i] is the
+    new label of qubit i.  A stabilizer chain (see the module docstring)
+    finds one element per coset: at each level, a first-leaf search over
+    images, with a multiset pruning test on letter-column prefixes, for
+    each site not yet in the orbit.  Worst case factorial, so the width is
+    capped (``SYMMETRY_WIDTH_CAP``) and so is the search's work
+    (``SYMMETRY_WORK_BUDGET``).
     """
     n = sigma.width
     if n > SYMMETRY_WIDTH_CAP:
@@ -321,7 +317,7 @@ def symmetry_group(sigma: OperatorSet) -> list[tuple[int, ...]]:
 
     identity = tuple(range(n))
     gens: list[tuple[int, ...]] = []
-    transversals: list[list[tuple[int, ...]]] = []
+    transversals: list[tuple[tuple[int, ...], ...]] = []
     work = 0
     for i in range(n - 2, -1, -1):
         # every generator found so far fixes 0..i-1, so it lies in G_i
@@ -334,20 +330,8 @@ def symmetry_group(sigma: OperatorSet) -> list[tuple[int, ...]]:
             if len(image) == n:
                 gens.append(tuple(image))
                 orbit = _schreier_tree(i, gens, identity, _image)
-        transversals.append(list(orbit.values()))
-
-    order = prod(len(carriers) for carriers in transversals)
-    _charge(work, order * len(sigma.members), n)
-    found = [identity]
-    # levels n-2 down to 0, so each product is t_0∘t_1∘...∘t_{n-2}
-    for carriers in transversals:
-        found = [tuple(map(t.__getitem__, h)) for t in carriers for h in found]
-    if len(set(found)) != order:
-        raise RuntimeError("symmetry listing does not match the group order")
-    found.sort()
-    if found[:1] != [identity]:  # the identity sorts first
-        raise RuntimeError("symmetry search lost the identity")
-    return found
+        transversals.append(tuple(orbit.values()))
+    return SymmetryChain(n, tuple(gens), tuple(transversals), len(sigma.members))
 
 
 def _image(point: int, g: Sequence[int]) -> int:
@@ -388,35 +372,36 @@ def _schreier_tree(
 
 
 def partition_orbits(
-    parts: Iterable[Partition], group: Iterable[Sequence[int]]
+    parts: Iterable[Partition], gens: Iterable[Sequence[int]]
 ) -> dict[Partition, tuple[Partition, tuple[int, ...]]]:
     """Orbit representative and carrying element for every partition.
 
-    Maps each given partition, and every other member of its orbit, to
-    (rep, g): rep is the lexicographically smallest partition of the orbit
-    and g a group element with permute_partition(rep, g) == partition.
-    One Schreier tree per orbit over the group's generators: a search from
-    the first partition met finds the orbit and its minimum, and a second
-    search rooted at the minimum gives each member its element (the root
-    gets the identity).  Costs 2·|orbit|·|gens| images per orbit.
+    Maps each given partition, and every other member of its orbit under
+    the group that ``gens`` generate, to (rep, g): rep is the
+    lexicographically smallest partition of the orbit and g a group element
+    with permute_partition(rep, g) == partition.  One Schreier tree per
+    orbit over the generators (a list of all elements also serves): a
+    search from the first partition met finds the orbit and its minimum,
+    and a second rooted at the minimum gives each member its element (the
+    root gets the identity).  Costs 2·|orbit|·|gens| images per orbit.
     """
-    group = [tuple(g) for g in group]
-    if not group:
-        raise ValueError("symmetry group must contain at least the identity")
-    n = len(group[0])
-    for g in group:
-        if sorted(g) != list(range(n)):
-            raise ValueError(f"{g} is not a permutation of 0..{n - 1}")
-    gens = _generators(group)
-    identity = tuple(range(n))
+    gens = [tuple(g) for g in gens]
+    widths = {len(g) for g in gens}
+    for g in gens:
+        if sorted(g) != list(range(len(g))):
+            raise ValueError(f"{g} is not a permutation of 0..{len(g) - 1}")
+    # the identity moves nothing, so a trivial group builds no images
+    gens = [g for g in gens if g != tuple(range(len(g)))]
     out: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
     for part in parts:
-        if part.width != n:
+        if widths - {part.width}:
             raise ValueError(
-                f"partition width {part.width} does not match group width {n}"
+                f"partition width {part.width} does not match generator "
+                f"widths {sorted(widths)}"
             )
         if part in out:
             continue
+        identity = tuple(range(part.width))
         rep = min(_schreier_tree(part, gens, identity, permute_partition))
         for image, g in _schreier_tree(rep, gens, identity, permute_partition).items():
             out[image] = (rep, g)
@@ -424,7 +409,8 @@ def partition_orbits(
 
 
 def orbit_representatives(
-    parts: Iterable[Partition], group: Iterable[Sequence[int]]
+    parts: Iterable[Partition], gens: Iterable[Sequence[int]]
 ) -> list[Partition]:
-    """One canonical representative per orbit of the group action, sorted."""
-    return sorted({rep for rep, _ in partition_orbits(parts, group).values()})
+    """One canonical representative per orbit of the group that ``gens``
+    generate, sorted."""
+    return sorted({rep for rep, _ in partition_orbits(parts, gens).values()})

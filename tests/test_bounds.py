@@ -1,7 +1,6 @@
 """Partition bounds, class bounds, reports, and classification."""
 
 import gc
-import itertools
 import types
 
 import numpy as np
@@ -152,10 +151,12 @@ def test_criteria_report_agrees_with_single_partition_route(sigma15):
                     assert cut_commute(a, b, part)
 
 
-def test_criteria_report_refuses_a_witness_outside_sigma(monkeypatch):
-    # a group that does not map the set onto itself carries witnesses out
-    # of sigma; relabeling keeps the cut relation, so only the lookup sees it
-    every = list(itertools.permutations(range(3)))
+def test_criteria_report_refuses_a_witness_outside_sigma(sigma3, monkeypatch):
+    # generators that do not map the set onto itself (ex8's, which generate
+    # every relabeling) carry witnesses out of sigma; relabeling keeps the
+    # cut relation, so only the lookup sees it
+    every = cuts_module.symmetry_group(sigma3)
+    assert len(every) == 6
     monkeypatch.setattr(bounds_module, "symmetry_group", lambda sigma: every)
     sigma = OperatorSet.from_strings(["zz1", "xx1", "z1x"])
     with pytest.raises(RuntimeError, match="not a member of sigma"):
@@ -308,6 +309,20 @@ def test_criteria_report_notes_the_cap_that_tripped(sigma15, monkeypatch):
         for note in report.notes
     )
     assert any("16 partitions in 16 orbits" in note for note in report.notes)
+
+
+def test_trivial_group_builds_no_partition_images(monkeypatch):
+    # pad4 has no symmetry but the identity, so no orbit search moves a
+    # partition
+    def forbidden(*args):
+        raise AssertionError("permute_partition called for a trivial group")
+
+    monkeypatch.setattr(cuts_module, "permute_partition", forbidden)
+    pad4 = OperatorSet.from_strings(
+        ["xy11", "1x11", "xzy1", "1yx1", "yyz1", "xzz1", "xx11", "zxx1"]
+    )
+    report = criteria_report(pad4)
+    assert "symmetry group order 1; 8 partitions in 8 orbits" in report.notes
 
 
 def test_searches_leave_no_reference_cycles(sigma15, monkeypatch):

@@ -166,6 +166,19 @@ def test_oversized_set_fails_before_any_search(command, tmp_path, capsys, monkey
     assert "clique search on 129 vertices exceeds cap 128" in capsys.readouterr().err
 
 
+def test_wide_bounds_fails_on_the_bipartition_cap(tmp_path, capsys, monkeypatch):
+    import paulicrit.bounds as bounds_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("symmetry search ran past the bipartition cap")
+
+    monkeypatch.setattr(bounds_module, "symmetry_group", forbidden)
+    path = tmp_path / "width20.txt"
+    path.write_text("x" * 20 + "\n")
+    assert main(["bounds", str(path)]) == 3
+    assert "524287 bipartitions of width 20 exceed cap 32767" in capsys.readouterr().err
+
+
 def test_graph_dot_output(sigma3_file, capsys):
     assert main(["graph", sigma3_file, "--relation", "anticommute"]) == 0
     out = capsys.readouterr().out

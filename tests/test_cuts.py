@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from paulicrit import (
     ParseError,
     Partition,
     anticommutes,
+    criteria_report,
     cut_anticommute,
     enumerate_bipartitions,
     orbit_representatives,
@@ -22,7 +22,7 @@ from paulicrit import (
     symmetry_group,
 )
 import paulicrit.cuts as cuts_module
-from paulicrit.cuts import _generators, cut_commute, partition_orbits, permute_partition
+from paulicrit.cuts import cut_commute, partition_orbits, permute_partition
 from paulicrit.pauli import permute
 
 
@@ -98,6 +98,20 @@ def test_enumerate_bipartitions_count():
         enumerate_bipartitions(1)
 
 
+def test_enumerate_bipartitions_cap(monkeypatch):
+    # refused on the count, before any partition is built
+    def forbidden(*args):
+        raise AssertionError("a partition was built past the cap")
+
+    monkeypatch.setattr(cuts_module, "Partition", forbidden)
+    for width, count in ((17, 65_535), (26, 33_554_431)):
+        with pytest.raises(
+            CapExceeded,
+            match=f"{count} bipartitions of width {width} exceed cap 32767",
+        ):
+            enumerate_bipartitions(width)
+
+
 def test_cut_relations_examples():
     a_b = parse_partition("A|B", 2)
     xx, yy = parse_pauli("xx"), parse_pauli("yy")
@@ -158,12 +172,13 @@ def test_refining_a_cut_preserves_anticommutation():
 
 def test_symmetry_group_swap_pair():
     group = symmetry_group(OperatorSet.from_strings(["xx", "yy"]))
-    assert group == [(0, 1), (1, 0)]
+    assert list(group) == [(0, 1), (1, 0)]
 
 
 def test_symmetry_group_identity_only():
     group = symmetry_group(OperatorSet.from_strings(["xz"]))
-    assert group == [(0, 1)]
+    assert list(group) == [(0, 1)]
+    assert group.generators == ()
 
 
 def test_symmetry_group_full_permutation(sigma3):
@@ -177,7 +192,7 @@ def test_symmetry_group_cyclic(sigma15):
     shifts = sorted(
         tuple((i + k) % 5 for i in range(5)) for k in range(5)
     )
-    assert group == shifts
+    assert list(group) == shifts
 
 
 def test_symmetry_group_elements_fix_the_set(sigma15):
@@ -210,18 +225,29 @@ def _fully_symmetric(width):
 
 
 def test_symmetry_group_node_cap():
-    # both are under the width cap, but listing is charged order * members
-    # before any element is built: 9! * 108 (about 39M) column tests at width
-    # 9 and 12! * 198 (about 9.5e10) at width 12, where width 8 charges 3.4M
+    # both are under the width cap and their searches under the budget, but
+    # listing is charged order * members before any element is built:
+    # 9! * 108 (about 39M) column tests at width 9 and 12! * 198 (about
+    # 9.5e10) at width 12, where width 8 charges 3.4M
     for width in (9, 12):
+        group = symmetry_group(_fully_symmetric(width))
         with pytest.raises(CapExceeded, match="exceeds work budget"):
-            symmetry_group(_fully_symmetric(width))
+            list(group)
+
+
+def test_symmetry_group_order_without_listing():
+    # listing 9! elements would trip the work budget (see the test above);
+    # the order and the report's orbits come from the chain alone
+    sigma = _fully_symmetric(9)
+    assert len(symmetry_group(sigma)) == 362_880
+    notes = criteria_report(sigma).notes
+    assert "symmetry group order 362880; 256 partitions in 5 orbits" in notes
 
 
 def test_symmetry_group_fully_symmetric_width_seven():
     group = symmetry_group(_fully_symmetric(7))
     assert len(group) == 5040
-    assert group == sorted(itertools.permutations(range(7)))
+    assert list(group) == sorted(itertools.permutations(range(7)))
 
 
 def test_symmetry_group_lists_one_search_per_coset(monkeypatch):
@@ -229,7 +255,7 @@ def test_symmetry_group_lists_one_search_per_coset(monkeypatch):
     # a few thousand more; a search visiting every element's leaf would
     # charge 63 * sum_k 7!/(7-k)! = 863 100
     monkeypatch.setattr(cuts_module, "SYMMETRY_WORK_BUDGET", 500_000)
-    assert len(symmetry_group(_fully_symmetric(7))) == 5040
+    assert len(list(symmetry_group(_fully_symmetric(7)))) == 5040
 
 
 def _random_texts(width, rng):
@@ -261,6 +287,7 @@ def test_symmetry_group_matches_a_scan_of_every_permutation(width):
         for reflect in (False, True)
         for _ in range(4)
     ]
+    parts = [Partition.finest(width)] + enumerate_bipartitions(width)
     nontrivial = 0
     for texts in families:
         sigma = OperatorSet.from_strings(sorted(texts))
@@ -270,41 +297,13 @@ def test_symmetry_group_matches_a_scan_of_every_permutation(width):
             for g in itertools.permutations(range(width))
             if {permute(m, g) for m in members} == members
         ]
-        assert symmetry_group(sigma) == scan, sorted(texts)
+        group = symmetry_group(sigma)
+        assert list(group) == scan, sorted(texts)
+        assert orbit_representatives(parts, group.generators) == sorted(
+            {min(permute_partition(part, g) for g in scan) for part in parts}
+        ), sorted(texts)
         nontrivial += len(scan) > 1
     assert nontrivial >= 8  # the cyclic and dihedral sets at least
-
-
-@pytest.mark.parametrize(
-    "elements",
-    [
-        # S3 without the transposition (1, 0, 2)
-        [g for g in itertools.permutations(range(3)) if g != (1, 0, 2)],
-        # two transpositions whose product, a 3-cycle, is missing
-        [(0, 1, 2), (1, 0, 2), (0, 2, 1)],
-    ],
-)
-def test_generators_reject_unclosed_sets(elements):
-    # partition_orbits is where every program path proves the group
-    for prove in (_generators, partial(partition_orbits, enumerate_bipartitions(3))):
-        with pytest.raises(RuntimeError, match="not closed under composition"):
-            prove(sorted(elements))
-
-
-def test_generators_generate_the_group():
-    group = sorted(itertools.permutations(range(4)))
-    gens = _generators(group)
-    assert len(gens) <= 4  # log2(24) < 5
-    reached = {tuple(range(4))}
-    frontier = list(reached)
-    while frontier:
-        e = frontier.pop()
-        for s in gens:
-            product = tuple(s[i] for i in e)
-            if product not in reached:
-                reached.add(product)
-                frontier.append(product)
-    assert sorted(reached) == group
 
 
 def test_permute_partition():
@@ -319,7 +318,7 @@ def test_partition_orbits_match_the_group_scan(name, sigma3, sigma15):
     sigma = {"ex8": sigma3, "eq15": sigma15, "symmetric5": _fully_symmetric(5)}[name]
     group = symmetry_group(sigma)
     parts = [Partition.finest(sigma.width)] + enumerate_bipartitions(sigma.width)
-    orbits = partition_orbits(parts, group)
+    orbits = partition_orbits(parts, group.generators)
     for part in parts:
         rep, g = orbits[part]
         assert rep == min(permute_partition(part, h) for h in group)
@@ -331,28 +330,34 @@ def test_partition_orbits_match_the_group_scan(name, sigma3, sigma15):
 
 def test_orbit_representatives_cyclic(sigma15):
     group = symmetry_group(sigma15)
-    reps = orbit_representatives(enumerate_bipartitions(5), group)
+    reps = orbit_representatives(enumerate_bipartitions(5), group.generators)
     assert [str(p) for p in reps] == ["A|BCDE", "AB|CDE", "ABD|CE"]
+    # the listed group generates itself
+    assert orbit_representatives(enumerate_bipartitions(5), group) == reps
     part = parse_partition("AC|BDE", 5)
-    assert partition_orbits([part], group)[part][0] == parse_partition("ABD|CE", 5)
+    assert partition_orbits([part], group.generators)[part][0] == parse_partition(
+        "ABD|CE", 5
+    )
 
 
 def test_orbit_representatives_trivial_group():
-    group = [(0, 1, 2)]
     parts = enumerate_bipartitions(3)
-    assert orbit_representatives(parts, group) == sorted(parts)
+    # no generators, or only the identity, generate the trivial group
+    for gens in ([], [(0, 1, 2)]):
+        assert orbit_representatives(parts, gens) == sorted(parts)
 
 
 def test_orbit_representatives_full_group(sigma3):
     group = symmetry_group(sigma3)
-    reps = orbit_representatives(enumerate_bipartitions(3), group)
+    reps = orbit_representatives(enumerate_bipartitions(3), group.generators)
     assert [str(p) for p in reps] == ["A|BC"]
 
 
 def test_orbit_representatives_errors():
-    with pytest.raises(ValueError):
-        orbit_representatives(enumerate_bipartitions(3), [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a permutation"):
+        orbit_representatives(enumerate_bipartitions(3), [(0, 0, 1)])
+    # the identity of another width is refused before identities are dropped
+    with pytest.raises(ValueError, match="does not match"):
         orbit_representatives(enumerate_bipartitions(3), [(0, 1)])
 
 
