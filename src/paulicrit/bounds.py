@@ -43,7 +43,7 @@ from .graphs import (
     cut_graphs,
     max_clique,
 )
-from .pauli import OperatorSet, PauliString, permute
+from .pauli import OperatorSet, PauliString, site_map
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
 
@@ -183,21 +183,28 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     # one graph per orbit, from one pass of the cut kernel; first-met order
     reps = list(dict.fromkeys(orbits[part][0] for part in parts))
     cliques = {rep: max_clique(g) for rep, g in zip(reps, cut_graphs(sigma, reps))}
-    text_of = dict(zip(sigma.members, sigma.texts()))
+    # A row's witness is its representative's, moved by the row's carrier.
+    # site_map checks the carrier once per row; each member's bit pair then
+    # moves by table lookups and is looked up among sigma's members, so no
+    # string is built.  A moved pair outside sigma is refused; the members
+    # found equal the moved strings, and every row's witness is checked
+    # against the row's partition by _verify_cut_clique.
+    index_of = {(m.x_bits, m.z_bits): i for i, m in enumerate(sigma.members)}
+    texts = sigma.texts()
     per_partition: dict[Partition, PartitionBound] = {}
     for part in parts:
         rep, g = orbits[part]
         result = cliques[rep]
-        members = tuple(sigma.members[i] for i in result.witness)
+        found = result.witness
+        members = tuple(sigma.members[i] for i in found)
         if g != identity:
-            members = tuple(permute(m, g) for m in members)
+            move = site_map(g, width)
+            found = [index_of.get((move(m.x_bits), move(m.z_bits))) for m in members]
+            if None in found:
+                raise RuntimeError("permuted bound witness is not a member of sigma")
+            members = tuple(sigma.members[i] for i in found)
         _verify_cut_clique(members, part)
-        try:
-            witness = tuple(sorted(text_of[m] for m in members))
-        except KeyError:
-            raise RuntimeError(
-                "permuted bound witness is not a member of sigma"
-            ) from None
+        witness = tuple(sorted(texts[i] for i in found))
         per_partition[part] = PartitionBound(result.size, witness, rep)
 
     class_bounds: dict[str, int] = {

@@ -26,28 +26,37 @@ and the carriers of each level, with |G| the product of the orbit sizes.
 Every generator is a leaf of the search, which maps the set onto itself,
 so every element the generators compose is a symmetry too and no closure
 proof is needed.  The elements are listed, as the products
-t_0∘t_1∘...∘t_{n-2} of carriers, only when the chain is iterated.  The one
-orbit routine ``partition_orbits`` works from generators alone: it builds
-one Schreier tree per orbit, the orbit's minimum is its representative,
-and each member carries a group element mapping the representative onto
-it, so no caller scans the whole group.
+t_0∘t_1∘...∘t_{n-2} of carriers, only when the chain is iterated.
+
+The one orbit routine ``partition_orbits`` works from generators alone,
+so no caller scans the whole group.  It grows one Schreier tree per orbit
+over block masks: a node is a partition's mask tuple (``Partition.masks``,
+masks sorted by lowest site), and a generator moves each mask through
+``pauli.site_map``, one table lookup per byte.  The orbit's minimum is its
+representative, and each member carries a group element mapping the
+representative onto it.  Members are the given partitions, looked up by
+their masks; only a member outside them is built, through the one
+``Partition`` constructor, which validates every partition it makes.
+Identity generators are dropped first, so the trivial group grows no tree.
 
 Partitions are stored canonically: sites sorted inside each block, blocks
-sorted by their smallest site.  Text forms use block letters A, B, C, ...
-for widths up to 26 (``AC|BDE``) or comma-separated indices (``0,2|1,3,4``).
+sorted by their smallest site.  The constructor checks a block at a time
+on its mask and names the first fault site by site only when one is found.
+Text forms use block letters A, B, C, ... for widths up to 26 (``AC|BDE``)
+or comma-separated indices (``0,2|1,3,4``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from itertools import combinations
 from math import prod
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapExceeded, ParseError
-from .pauli import OperatorSet, PauliString
+from .pauli import OperatorSet, PauliString, site_map
 
 # The symmetry search is factorial in the worst case; stop well before that hurts.
 SYMMETRY_WIDTH_CAP = 12
@@ -73,27 +82,31 @@ class Partition:
 
     width: int
     blocks: tuple[tuple[int, ...], ...]
+    # one site bitmask per block, in block order
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be at least 1, got {self.width}")
-        canon = tuple(sorted(tuple(sorted(b)) for b in self.blocks))
+        width = self.width
+        if width < 1:
+            raise ValueError(f"width must be at least 1, got {width}")
+        canon = tuple(sorted(map(tuple, map(sorted, self.blocks))))
         object.__setattr__(self, "blocks", canon)
-        seen: set[int] = set()
+        masks = []
+        seen = 0
         for block in canon:
-            if not block:
-                raise ValueError("partition contains an empty block")
-            for site in block:
-                if not 0 <= site < self.width:
-                    raise ValueError(
-                        f"qubit index {site} out of range for width {self.width}"
-                    )
-                if site in seen:
-                    raise ValueError(f"qubit index {site} appears in two blocks")
-                seen.add(site)
-        if len(seen) != self.width:
-            missing = sorted(set(range(self.width)) - seen)
+            # a sorted block in range whose mask has one bit per site and
+            # none seen before is sound; any other is diagnosed site by site
+            if block and block[0] >= 0 and block[-1] < width:
+                mask = sum(map((1).__lshift__, block))
+                if mask.bit_count() == len(block) and not mask & seen:
+                    masks.append(mask)
+                    seen |= mask
+                    continue
+            _refuse_block(block, width, seen)
+        if seen != (1 << width) - 1:
+            missing = [site for site in range(width) if not seen >> site & 1]
             raise ValueError(f"partition misses qubit indices {missing}")
+        object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
     def finest(cls, width: int) -> "Partition":
@@ -104,11 +117,6 @@ class Partition:
     def single_block(cls, width: int) -> "Partition":
         """All qubits together; cut relations degenerate to the plain ones."""
         return cls(width, (tuple(range(width)),))
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """One site bitmask per block, in block order."""
-        return tuple(sum(1 << site for site in block) for block in self.blocks)
 
     @property
     def block_count(self) -> int:
@@ -124,6 +132,19 @@ class Partition:
                 "".join(chr(ord("A") + i) for i in block) for block in self.blocks
             )
         return "|".join(",".join(str(i) for i in block) for block in self.blocks)
+
+
+def _refuse_block(block: tuple[int, ...], width: int, seen: int) -> None:
+    """Raise the fault of an unsound block: empty, or its first site, in
+    order, that is out of range or in ``seen`` or earlier in the block."""
+    if not block:
+        raise ValueError("partition contains an empty block")
+    for site in block:
+        if not 0 <= site < width:
+            raise ValueError(f"qubit index {site} out of range for width {width}")
+        if seen >> site & 1:
+            raise ValueError(f"qubit index {site} appears in two blocks")
+        seen |= 1 << site
 
 
 def parse_partition(text: str, width: int) -> Partition:
@@ -171,14 +192,15 @@ def enumerate_bipartitions(width: int) -> list[Partition]:
         raise CapExceeded(
             f"{count} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
         )
-    parts: list[Partition] = []
-    for mask in range(1, 1 << (width - 1)):
-        # Qubit 0 always stays in the first block, killing the mirror double count.
-        second = tuple(i for i in range(1, width) if (mask >> (i - 1)) & 1)
-        first = tuple(i for i in range(width) if i not in second)
-        parts.append(Partition(width, (first, second)))
-    parts.sort()
-    return parts
+    sites = frozenset(range(width))
+    # Qubit 0 always stays in the first block, killing the mirror double count.
+    splits = [
+        (tuple(sorted(sites.difference(second))), second)
+        for size in range(1, width)
+        for second in combinations(range(1, width), size)
+    ]
+    splits.sort()  # canonical block tuples sort as their partitions do
+    return [Partition(width, split) for split in splits]
 
 
 def _check_pair(p: PauliString, q: PauliString, part: Partition) -> None:
@@ -321,7 +343,7 @@ def symmetry_group(sigma: OperatorSet) -> SymmetryChain:
     work = 0
     for i in range(n - 2, -1, -1):
         # every generator found so far fixes 0..i-1, so it lies in G_i
-        orbit = _schreier_tree(i, gens, identity, _image)
+        orbit = _schreier_tree(i, [(g, g.__getitem__) for g in gens], identity)
         for j in range(i + 1, n):
             if j in orbit:
                 continue
@@ -329,13 +351,9 @@ def symmetry_group(sigma: OperatorSet) -> SymmetryChain:
             work = _first_image(image, prefixes[i], columns, profiles, (j,), work)
             if len(image) == n:
                 gens.append(tuple(image))
-                orbit = _schreier_tree(i, gens, identity, _image)
+                orbit = _schreier_tree(i, [(g, g.__getitem__) for g in gens], identity)
         transversals.append(tuple(orbit.values()))
     return SymmetryChain(n, tuple(gens), tuple(transversals), len(sigma.members))
-
-
-def _image(point: int, g: Sequence[int]) -> int:
-    return g[point]
 
 
 def permute_partition(part: Partition, perm: Sequence[int]) -> Partition:
@@ -351,24 +369,40 @@ def permute_partition(part: Partition, perm: Sequence[int]) -> Partition:
 
 def _schreier_tree(
     root: T,
-    gens: list[tuple[int, ...]],
+    moves: list[tuple[tuple[int, ...], Callable[[T], T]]],
     identity: tuple[int, ...],
-    act: Callable[[T, Sequence[int]], T],
 ) -> dict[T, tuple[int, ...]]:
     """Orbit of ``root`` under the generators, each image with an element
-    g such that act(root, g) is that image.  ``act`` must satisfy
-    act(act(x, g), s) == act(x, s∘g), as ``permute_partition`` on
-    partitions and ``_image`` on sites do."""
+    g that carries root to it.  ``moves`` pairs each generator s with its
+    action x -> x·s, which must compose as the relabelings do: moving x
+    by g and then by s equals moving it by s∘g."""
     tree = {root: identity}
     queue = [root]
     for node in queue:  # the queue grows while it is read: breadth first
         g = tree[node]
-        for s in gens:
-            child = act(node, s)
+        for s, act in moves:
+            child = act(node)
             if child not in tree:
-                tree[child] = tuple(s[i] for i in g)
+                tree[child] = tuple(map(s.__getitem__, g))
                 queue.append(child)
     return tree
+
+
+def _block_action(
+    perm: tuple[int, ...],
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The relabeling's action on canonical block-mask tuples (the masks
+    of ``Partition.masks``, sorted by lowest site)."""
+    move = site_map(perm, len(perm))
+
+    def act(masks: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(sorted(map(move, masks), key=_lowest_bit))
+
+    return act
+
+
+def _lowest_bit(mask: int) -> int:
+    return mask & -mask
 
 
 def partition_orbits(
@@ -380,32 +414,54 @@ def partition_orbits(
     the group that ``gens`` generate, to (rep, g): rep is the
     lexicographically smallest partition of the orbit and g a group element
     with permute_partition(rep, g) == partition.  One Schreier tree per
-    orbit over the generators (a list of all elements also serves): a
-    search from the first partition met finds the orbit and its minimum,
-    and a second rooted at the minimum gives each member its element (the
-    root gets the identity).  Costs 2·|orbit|·|gens| images per orbit.
+    orbit over the generators (a list of all elements also serves), grown
+    on block masks: a search from the first partition met finds the orbit
+    and its minimum, and unless that partition is the minimum, a second
+    rooted there gives each member its element (the root gets the
+    identity).  Members come from ``parts`` by their masks; only a member
+    outside ``parts`` is built.  Identities are dropped, and without other
+    generators every partition is its own orbit.
     """
     gens = [tuple(g) for g in gens]
     widths = {len(g) for g in gens}
     for g in gens:
         if sorted(g) != list(range(len(g))):
             raise ValueError(f"{g} is not a permutation of 0..{len(g) - 1}")
-    # the identity moves nothing, so a trivial group builds no images
-    gens = [g for g in gens if g != tuple(range(len(g)))]
-    out: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
+    parts = list(parts)
     for part in parts:
         if widths - {part.width}:
             raise ValueError(
                 f"partition width {part.width} does not match generator "
                 f"widths {sorted(widths)}"
             )
+    moves = [(g, _block_action(g)) for g in gens if g != tuple(range(len(g)))]
+    if not moves:
+        return {part: (part, tuple(range(part.width))) for part in parts}
+    width = len(moves[0][0])
+    identity = tuple(range(width))
+    given = {part.masks: part for part in parts}
+    out: dict[Partition, tuple[Partition, tuple[int, ...]]] = {}
+    for part in parts:
         if part in out:
             continue
-        identity = tuple(range(part.width))
-        rep = min(_schreier_tree(part, gens, identity, permute_partition))
-        for image, g in _schreier_tree(rep, gens, identity, permute_partition).items():
-            out[image] = (rep, g)
+        tree = _schreier_tree(part.masks, moves, identity)
+        members = {
+            key: given[key] if key in given else _from_masks(width, key)
+            for key in tree
+        }
+        rep = min(members.values())
+        if rep.masks != part.masks:
+            tree = _schreier_tree(rep.masks, moves, identity)
+        for key, g in tree.items():
+            out[members[key]] = (rep, g)
     return out
+
+
+def _from_masks(width: int, masks: tuple[int, ...]) -> Partition:
+    return Partition(
+        width,
+        tuple(tuple(i for i in range(width) if mask >> i & 1) for mask in masks),
+    )
 
 
 def orbit_representatives(

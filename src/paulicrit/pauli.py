@@ -16,7 +16,7 @@ popcount(p.x & q.z) + popcount(p.z & q.x) is odd; everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import CapExceeded, ParseError
 
@@ -121,16 +121,40 @@ def anticommutes(p: PauliString, q: PauliString) -> bool:
     return overlap % 2 == 1
 
 
+def site_map(perm: Sequence[int], width: int) -> Callable[[int], int]:
+    """The map a qubit relabeling induces on site bitmasks below 2**width:
+    bit i moves to bit perm[i].  ``perm`` is checked once, here.
+
+    Each site's image bit is grown into one table per byte of the mask,
+    so a mask moves by one lookup per byte.  ``permute`` moves strings
+    and ``cuts.partition_orbits`` moves partition blocks through it.
+    """
+    if sorted(perm) != list(range(width)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{width - 1}")
+    tables = []
+    for low in range(0, width, 8):
+        table = [0]
+        for site in range(low, min(low + 8, width)):
+            bit = 1 << perm[site]
+            table += [image | bit for image in table]
+        tables.append(table)
+    if len(tables) == 1:
+        return tables[0].__getitem__
+
+    def move(mask: int) -> int:
+        image = 0
+        for table in tables:
+            image |= table[mask & 0xFF]
+            mask >>= 8
+        return image
+
+    return move
+
+
 def permute(p: PauliString, perm: Sequence[int]) -> PauliString:
     """Relabel qubits: the letter at site i moves to site perm[i]."""
-    if sorted(perm) != list(range(p.width)):
-        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{p.width - 1}")
-    x_bits = 0
-    z_bits = 0
-    for old in range(p.width):
-        x_bits |= ((p.x_bits >> old) & 1) << perm[old]
-        z_bits |= ((p.z_bits >> old) & 1) << perm[old]
-    return PauliString(p.width, x_bits, z_bits)
+    move = site_map(perm, p.width)
+    return PauliString(p.width, move(p.x_bits), move(p.z_bits))
 
 
 def to_matrix(p: PauliString) -> np.ndarray:

@@ -313,11 +313,12 @@ def test_criteria_report_notes_the_cap_that_tripped(sigma15, monkeypatch):
 
 def test_trivial_group_builds_no_partition_images(monkeypatch):
     # pad4 has no symmetry but the identity, so no orbit search moves a
-    # partition
+    # partition, acts on block masks or builds a partition from masks
     def forbidden(*args):
-        raise AssertionError("permute_partition called for a trivial group")
+        raise AssertionError("orbit search ran for a trivial group")
 
-    monkeypatch.setattr(cuts_module, "permute_partition", forbidden)
+    for name in ("permute_partition", "_block_action", "_from_masks"):
+        monkeypatch.setattr(cuts_module, name, forbidden)
     pad4 = OperatorSet.from_strings(
         ["xy11", "1x11", "xzy1", "1yx1", "yyz1", "xzz1", "xx11", "zxx1"]
     )

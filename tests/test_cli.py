@@ -549,14 +549,25 @@ def test_no_command_is_usage_error():
 
 
 DATA = Path(__file__).parent / "data"
-GOLDEN_SETS = ("ex8", "eq15", "pad4", "random_10_40_seed0", "symmetric_6_seed0")
+GOLDEN_SETS = (
+    "ex8",
+    "eq15",
+    "pad4",
+    "random_10_40_seed0",
+    "symmetric_6_seed0",
+    "code5",
+    "ring6",
+)
 
 
 @pytest.mark.parametrize("name", GOLDEN_SETS)
 def test_bounds_json_matches_golden_file(name, capsys):
     """``bounds --json`` on the fixture sets, byte for byte: the random set
     is bench/reference.py's random_set(10, 40, 0), the symmetric one its
-    symmetric_set(6) in seed-0 line order."""
+    symmetric_set(6) in seed-0 line order.  code5 (``generate --cp
+    1xzzx,1yxxy,1zyyz``, group order 10) and ring6 (the 53 phase-free
+    stabilizers of weight at most 5 of the 6-qubit ring graph state, group
+    order 12) have dihedral symmetry groups."""
     assert main(["bounds", str(DATA / f"{name}.txt"), "--json"]) == 0
     golden = (DATA / f"{name}.bounds.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ import paulicrit.cuts as cuts_module
 from paulicrit.cuts import cut_commute, partition_orbits, permute_partition
 from paulicrit.pauli import permute
 
+DATA = Path(__file__).parent / "data"
+
 
 def test_partition_canonical_form():
     p = Partition(3, ((2, 1), (0,)))
@@ -34,16 +37,37 @@ def test_partition_canonical_form():
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"misses qubit indices \[2\]"):
         Partition(3, ((0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit index 1 appears in two blocks"):
         Partition(3, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partition contains an empty block"):
         Partition(3, ((0,), (), (1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="qubit index 2 out of range for width 2"):
         Partition(2, ((0, 1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="width must be at least 1, got 0"):
         Partition(0, ())
+    # the first fault in canonical order, site by site, whatever the masks
+    for width, blocks, message in [
+        (3, ((0, 0, 5),), "qubit index 0 appears in two blocks"),
+        (4, ((1, 5), (0, 1)), "qubit index 1 appears in two blocks"),
+        (4, ((0, 1), (5, 2, 2)), "qubit index 2 appears in two blocks"),
+        (3, ((2, -1), (0, 1)), "qubit index -1 out of range for width 3"),
+        (3, ((2,), (0, 7, 1)), "qubit index 7 out of range for width 3"),
+        (4, ((3,), ()), "partition contains an empty block"),
+        (5, ((4, 0), (2,)), r"misses qubit indices \[1, 3\]"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Partition(width, blocks)
+
+
+def test_partition_masks():
+    part = Partition(5, ((4, 1), (3, 0, 2)))
+    assert part.masks == (0b01101, 0b10010)
+    # the masks follow the blocks and take no part in comparison
+    assert part == parse_partition("ACD|BE", 5)
+    assert "masks" not in repr(part)
+    assert Partition.finest(3).masks == (1, 2, 4)
 
 
 def test_partition_constructors():
@@ -313,19 +337,79 @@ def test_permute_partition():
         permute_partition(part, (0, 1))
 
 
-@pytest.mark.parametrize("name", ["ex8", "eq15", "symmetric5"])
+# group order and orbit count over the finest partition and the bipartitions
+SCANNED_SETS = {
+    "ex8": (6, 2),
+    "eq15": (5, 4),
+    "symmetric5": (120, 3),
+    "code5": (10, 4),
+    "ring6": (12, 8),
+    "symmetric6": (720, 4),
+}
+
+
+@pytest.mark.parametrize("name", SCANNED_SETS)
 def test_partition_orbits_match_the_group_scan(name, sigma3, sigma15):
-    sigma = {"ex8": sigma3, "eq15": sigma15, "symmetric5": _fully_symmetric(5)}[name]
+    order, orbit_count = SCANNED_SETS[name]
+    if name in ("code5", "ring6"):
+        sigma = OperatorSet.from_file(DATA / f"{name}.txt")
+    else:
+        sigma = {
+            "ex8": sigma3,
+            "eq15": sigma15,
+            "symmetric5": _fully_symmetric(5),
+            "symmetric6": _fully_symmetric(6),
+        }[name]
     group = symmetry_group(sigma)
+    scan = list(group)
+    assert len(scan) == order
     parts = [Partition.finest(sigma.width)] + enumerate_bipartitions(sigma.width)
-    orbits = partition_orbits(parts, group.generators)
-    for part in parts:
-        rep, g = orbits[part]
-        assert rep == min(permute_partition(part, h) for h in group)
-        assert g in group
-        assert permute_partition(rep, g) == part
-        # the tree's root is the representative, carried by the identity
-        assert orbits[rep] == (rep, tuple(range(sigma.width)))
+    # in reverse order the first partition met is its orbit's maximum
+    for given in (parts, parts[::-1]):
+        orbits = partition_orbits(given, group.generators)
+        assert len({rep for rep, _ in orbits.values()}) == orbit_count
+        for part in parts:
+            rep, g = orbits[part]
+            assert rep == min(permute_partition(part, h) for h in scan)
+            assert g in scan
+            assert permute_partition(rep, g) == part
+            # the tree's root is the representative, carried by the identity
+            assert orbits[rep] == (rep, tuple(range(sigma.width)))
+
+
+def test_partition_orbits_build_only_members_outside_parts(sigma15, monkeypatch):
+    parts = [Partition.finest(5)] + enumerate_bipartitions(5)
+    gens = symmetry_group(sigma15).generators
+    want = partition_orbits(parts, gens)
+    single = parse_partition("AC|BDE", 5)
+    outside = partition_orbits([single], gens)
+
+    def forbidden(*args):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(cuts_module, "Partition", forbidden)
+    # every orbit member is among the parts: each is looked up by its masks
+    assert partition_orbits(parts, gens) == want
+    # the other members of AC|BDE's orbit are not given, so they are built
+    assert len(outside) == 5
+    with pytest.raises(AssertionError, match="was built"):
+        partition_orbits([single], gens)
+
+
+def test_partition_orbits_trivial_group_builds_no_tree(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a Schreier tree was built")
+
+    monkeypatch.setattr(cuts_module, "_schreier_tree", forbidden)
+    parts = enumerate_bipartitions(4)
+    identity = (0, 1, 2, 3)
+    orbits = partition_orbits(parts, [identity, list(identity)])
+    assert orbits == {part: (part, identity) for part in parts}
+    # the permutation and width checks come before identities are dropped
+    with pytest.raises(ValueError, match="not a permutation"):
+        partition_orbits(parts, [identity, (0, 0, 1, 2)])
+    with pytest.raises(ValueError, match="does not match"):
+        partition_orbits(parts, [(0, 1, 2)])
 
 
 def test_orbit_representatives_cyclic(sigma15):

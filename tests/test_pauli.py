@@ -126,10 +126,10 @@ def test_permute():
     p = parse_pauli("xyz")
     assert format_pauli(permute(p, (1, 2, 0))) == "zxy"
     assert permute(p, (0, 1, 2)) == p
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 1\) is not a permutation of 0..2"):
         permute(p, (0, 1))
-    with pytest.raises(ValueError):
-        permute(p, (0, 0, 1))
+    with pytest.raises(ValueError, match=r"\(0, 0, 1\) is not a permutation of 0..2"):
+        permute(p, [0, 0, 1])
 
 
 def test_permute_inverse_round_trip():
@@ -141,6 +141,18 @@ def test_permute_inverse_round_trip():
         g = tuple(int(v) for v in rng.permutation(width))
         ginv = tuple(np.argsort(g))
         assert permute(permute(p, g), ginv) == p
+
+
+@pytest.mark.parametrize("width", [7, 8, 9, 16, 17, 30])
+def test_permute_moves_every_letter_past_byte_boundaries(width):
+    # pauli.site_map moves a mask one byte at a time; each letter must land on
+    # perm[i] whichever byte it starts or ends in
+    rng = np.random.default_rng(width)
+    for _ in range(20):
+        p = parse_pauli("".join(rng.choice(list("1xyz"), size=width)))
+        g = tuple(int(v) for v in rng.permutation(width))
+        moved = permute(p, g)
+        assert all(moved.letter(g[i]) == p.letter(i) for i in range(width))
 
 
 def test_to_matrix_singles():
