@@ -19,8 +19,8 @@ chromatic number caps every state because each colour class is a
 pairwise anticommuting family contributing at most 1.
 ``criteria_report`` is the one route from a set to its rows and its
 class and no-cut bounds: one ``cut_graphs`` pass yields the graph of
-every orbit representative.  ``verify`` and ``bounds --verify`` check the
-report's rows, taking each bound from its row.  ``bound_for_partition``
+every orbit representative.  ``verify`` checks the report's rows,
+taking each bound from its row.  ``bound_for_partition``
 serves a single partition, as the library's ``verify_bound`` does.
 """
 

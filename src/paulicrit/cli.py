@@ -1,16 +1,16 @@
 """Command line surface for bound reports, graphs, evaluation, verification.
 
-``verify`` and ``bounds --verify`` take one route and print the same rows:
-the oracle's admission check on the finest partition, which every
-verification searches, then the ``criteria_report`` of the set, then the
-oracle on its finest partition and sorted orbit representatives, each
-against its row's bound.  So the symmetry search runs once, and a set the
-oracle can never search is refused before its report is built.
+``verify`` is the one command that runs the numerical oracle.  It admits
+the finest partition, which every verification searches, then builds the
+``criteria_report`` of the set, then runs the oracle on its finest
+partition and sorted orbit representatives, each against its row's bound.
+So the symmetry search runs once, and a set the oracle can never search is
+refused before its report is built.
 
 numpy loads only with ``states`` and ``oracle``, which this module imports
-inside the commands that use them: ``verify``, ``eval``, ``bounds
---verify`` and ``generate --clique-state``.  ``bounds``, ``graph`` and
-``generate --cp`` run on the bit-level modules alone and never import it.
+inside the commands that use them: ``verify``, ``eval`` and ``generate
+--clique-state``.  ``bounds``, ``graph`` and ``generate --cp`` run on the
+bit-level modules alone and never import it.
 
 Exit codes: 0 success, 1 soundness violation during verification, 2 for
 parse and input errors, 3 when a size cap is exceeded.  Errors print one
@@ -26,7 +26,7 @@ import sys
 from typing import Sequence
 
 from . import graphs
-from .bounds import BoundReport, classify, criteria_report
+from .bounds import classify, criteria_report
 from .cuts import Partition, parse_partition
 # no command calls these two or verify_bound below; bench/spans.py wraps
 # them by name here, so they stay until a change to the benchmark drops
@@ -115,39 +115,6 @@ def _verification_rows(records) -> list[str]:
     return _format_table(rows)
 
 
-def _admitted_config(sigma: OperatorSet, args):
-    """The oracle settings of ``args``, admitted on the finest partition,
-    which every verification searches, before any report is built."""
-    from .oracle import OracleConfig, check_work_budget
-
-    config = OracleConfig(restarts=args.restarts, seed=args.seed)
-    check_work_budget(sigma, [Partition.finest(sigma.width)], config)
-    return config
-
-
-def _verification_records(sigma: OperatorSet, report: BoundReport, config) -> list:
-    """Oracle check of the finest partition and the report's sorted orbit
-    representatives against their rows' bounds, refused before any search
-    when those partitions together exceed the oracle's work budget."""
-    from .oracle import check_work_budget, verify_against
-
-    finest = Partition.finest(sigma.width)
-    reps = sorted({row.orbit for row in report.per_partition.values()})
-    parts = [finest] + [rep for rep in reps if rep != finest]
-    check_work_budget(sigma, parts, config)
-    rows = report.per_partition
-    return [verify_against(sigma, part, rows[part].bound, config) for part in parts]
-
-
-def _verification_exit(records) -> int:
-    """1 with a diagnostic when the oracle exceeded any graph bound, else 0."""
-    if any(rec.violation for rec in records):
-        print("error: oracle exceeded a graph bound; see verification rows",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -158,14 +125,9 @@ def _write_output(text: str, path: str | None) -> None:
 
 def cmd_bounds(args) -> int:
     sigma = _load_sigma(args.sigma)
-    config = _admitted_config(sigma, args) if args.verify else None
     report = criteria_report(sigma, quantum_upper=args.quantum_upper)
-    records = None if config is None else _verification_records(sigma, report, config)
     if args.json:
-        obj = report.to_json_obj()
-        if records is not None:
-            obj["verification"] = [rec.to_json_obj() for rec in records]
-        print(json.dumps(obj, indent=2))
+        print(report.to_json())
     else:
         lines = [f"sigma: {len(report.sigma)} operators, width {report.width}", ""]
         rows = [("partition", "orbit", "bound", "witness")]
@@ -183,11 +145,8 @@ def cmd_bounds(args) -> int:
         lines.append(f"quantum_upper: {upper}")
         for note in report.notes:
             lines.append(f"note: {note}")
-        if records is not None:
-            lines.append("")
-            lines.extend(_verification_rows(records))
         print("\n".join(lines))
-    return 0 if records is None else _verification_exit(records)
+    return 0
 
 
 def cmd_graph(args) -> int:
@@ -237,14 +196,29 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import OracleConfig, check_work_budget, verify_against
+
     sigma = _load_sigma(args.sigma)
-    config = _admitted_config(sigma, args)
-    records = _verification_records(sigma, criteria_report(sigma), config)
+    config = OracleConfig(restarts=args.restarts, seed=args.seed)
+    finest = Partition.finest(sigma.width)
+    # every verification searches the finest partition: a set the oracle
+    # can never search is refused before its report is built
+    check_work_budget(sigma, [finest], config)
+    rows = criteria_report(sigma).per_partition
+    reps = sorted({row.orbit for row in rows.values()})
+    parts = [finest] + [rep for rep in reps if rep != finest]
+    # then every partition to be searched, together, before any search
+    check_work_budget(sigma, parts, config)
+    records = [verify_against(sigma, part, rows[part].bound, config) for part in parts]
     if args.json:
         print(json.dumps([rec.to_json_obj() for rec in records], indent=2))
     else:
         print("\n".join(_verification_rows(records)))
-    return _verification_exit(records)
+    if any(rec.violation for rec in records):
+        print("error: oracle exceeded a graph bound; see verification rows",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_generate(args) -> int:
@@ -278,12 +252,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _add_oracle_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="oracle RNG seed")
-    sub.add_argument("--restarts", type=int, default=64,
-                     help="oracle restart count")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paulicrit",
@@ -299,11 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bounds.add_argument("sigma", help="operator set file, one Pauli string per line")
     p_bounds.add_argument("--json", action="store_true", help="machine output")
-    p_bounds.add_argument("--verify", action="store_true",
-                          help="run the numerical oracle against every orbit")
     p_bounds.add_argument("--quantum-upper", action="store_true",
                           help="also run the exact colouring upper bound")
-    _add_oracle_flags(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_graph = subs.add_parser("graph", help="export a cut relation graph")
@@ -331,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("sigma", help="operator set file")
     p_verify.add_argument("--json", action="store_true", help="machine output")
-    _add_oracle_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="oracle RNG seed")
+    p_verify.add_argument("--restarts", type=int, default=64,
+                          help="oracle restart count")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = subs.add_parser(

@@ -9,9 +9,11 @@ The restrictions are never built.  With the site-wise symplectic overlap
 w = (p.x & q.z) ^ (p.z & q.x), the restrictions to a block anticommute
 exactly when popcount(w & block_mask) is odd, so each partition carries
 its block bitmasks (``Partition.masks``) and the cut test is one parity
-per block.  ``pauli.restrict`` is now only the definition the tests
-compare this rule against.  ``graphs.cut_graphs`` applies the same
-parity rule to all pairs at once, on per-site bitmasks of the members.
+per block.  ``graphs.cut_graphs`` applies the same parity rule to all
+pairs at once, on per-site bitmasks of the members.  ``pauli.restrict``
+builds a restriction where an operator is needed: ``oracle`` restricts
+every member to each block it searches, and the tests compare this rule
+against it.
 
 The symmetry group of a set is found by a stabilizer-chain search (Sims'
 method), capped in width and in search work.  G_i, the elements fixing
@@ -162,7 +164,7 @@ def parse_partition(text: str, width: int) -> Partition:
             sites = []
             for token in chunk.split(","):
                 token = token.strip()
-                if not token.isdigit():
+                if not token.isdecimal():
                     raise ParseError(f"bad index {token!r} in partition {text!r}")
                 sites.append(int(token))
             blocks.append(tuple(sites))
@@ -203,25 +205,20 @@ def enumerate_bipartitions(width: int) -> list[Partition]:
     return [Partition(width, split) for split in splits]
 
 
-def _check_pair(p: PauliString, q: PauliString, part: Partition) -> None:
+def cut_anticommute(p: PauliString, q: PauliString, part: Partition) -> bool:
+    """True when the restrictions anticommute on at least one block."""
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
     if p.width != part.width:
         raise ValueError(
             f"partition width {part.width} does not match operators of width {p.width}"
         )
-
-
-def cut_anticommute(p: PauliString, q: PauliString, part: Partition) -> bool:
-    """True when the restrictions anticommute on at least one block."""
-    _check_pair(p, q, part)
     w = (p.x_bits & q.z_bits) ^ (p.z_bits & q.x_bits)
     return any((w & mask).bit_count() & 1 for mask in part.masks)
 
 
 def cut_commute(p: PauliString, q: PauliString, part: Partition) -> bool:
     """True when the restrictions commute on every block."""
-    _check_pair(p, q, part)
     return not cut_anticommute(p, q, part)
 
 

@@ -49,6 +49,7 @@ from .states import (
     QuantumState,
     assemble_product,
     evaluate_q,
+    haar_unit,
     pauli_action,
 )
 
@@ -109,11 +110,6 @@ def check_work_budget(
             f"oracle search over {len(parts)} partitions charges {work}, "
             f"over work budget {ORACLE_WORK_BUDGET}"
         )
-
-
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def _block_action(
@@ -374,7 +370,7 @@ def maximize_q_product(
     # drawn restart by restart, block by block, so restart r starts from
     # the same factors whatever the restart count
     draws = [
-        [_random_unit(rng, 1 << len(b)) for b in blocks]
+        [haar_unit(rng, 1 << len(b)) for b in blocks]
         for _ in range(config.restarts)
     ]
     per_restart = len(sigma) * sum(1 << len(b) for b in blocks)

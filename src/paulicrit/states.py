@@ -14,6 +14,7 @@ single fancy-indexed sum.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -301,6 +302,12 @@ def assemble_product(part: Partition, factors: Sequence[np.ndarray]) -> QuantumS
     return QuantumState.pure(vec)
 
 
+def haar_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random unit vector of dimension ``dim``."""
+    v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
 def random_product_state(part: Partition, seed) -> QuantumState:
     """Haar-random pure state in each block, tensored along the partition."""
     if part.width > PURE_QUBIT_CAP:
@@ -308,12 +315,7 @@ def random_product_state(part: Partition, seed) -> QuantumState:
             f"product state on width {part.width} exceeds cap {PURE_QUBIT_CAP}"
         )
     rng = np.random.default_rng(seed)
-    factors = []
-    for block in part.blocks:
-        d = 1 << len(block)
-        v = rng.standard_normal(d) + 1.0j * rng.standard_normal(d)
-        factors.append(v / np.linalg.norm(v))
-    return assemble_product(part, factors)
+    return assemble_product(part, [haar_unit(rng, 1 << len(b)) for b in part.blocks])
 
 
 def anticommuting_unit_combination(
@@ -357,6 +359,20 @@ def state_to_json_obj(state: QuantumState) -> dict:
     return {"width": state.width, "kind": "mixed", "matrix": payload}
 
 
+def _complex_entries(pairs: list, what: str) -> np.ndarray:
+    """The complex numbers of ``[re, im]`` pairs, refusing any other entry,
+    NaN and infinities included."""
+    for i, entry in enumerate(pairs):
+        if not (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in entry)
+        ):
+            raise ValueError(f"{what} {i} is {entry!r}, not a pair of real numbers")
+    return np.array([complex(re, im) for re, im in pairs])
+
+
 def state_from_json_obj(obj: dict) -> QuantumState:
     try:
         width = int(obj["width"])
@@ -370,13 +386,12 @@ def state_from_json_obj(obj: dict) -> QuantumState:
         pairs = obj.get("amplitudes")
         if not isinstance(pairs, list) or len(pairs) != dim:
             raise ValueError(f"pure state needs {dim} amplitude pairs")
-        vec = np.array([complex(re, im) for re, im in pairs])
-        return QuantumState.pure(vec)
+        return QuantumState.pure(_complex_entries(pairs, "amplitude"))
     if kind == "mixed":
         pairs = obj.get("matrix")
         if not isinstance(pairs, list) or len(pairs) != dim * dim:
             raise ValueError(f"mixed state needs {dim * dim} matrix entries")
-        flat = np.array([complex(re, im) for re, im in pairs])
+        flat = _complex_entries(pairs, "matrix entry")
         return QuantumState.mixed(flat.reshape(dim, dim))
     raise ValueError(f"unknown state kind {kind!r}")
 

@@ -95,19 +95,6 @@ def test_bounds_json_is_stable(sigma15_file, capsys):
     assert capsys.readouterr().out == first
 
 
-def test_bounds_verify_json(pair_file, capsys):
-    assert (
-        main(["bounds", pair_file, "--verify", "--json", "--restarts", "4"]) == 0
-    )
-    obj = json.loads(capsys.readouterr().out)
-    rows = obj["verification"]
-    # width 2 has a single distinct partition to check
-    assert [row["partition"] for row in rows] == ["A|B"]
-    assert rows[0]["graph_bound"] == 1
-    assert rows[0]["saturated"] is True
-    assert rows[0]["violation"] is False
-
-
 def test_bounds_missing_file(capsys):
     assert main(["bounds", "/no/such/sigma.txt"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -130,7 +117,10 @@ def test_bounds_cap_exit_code(sigma3_file, capsys, monkeypatch):
         ["bounds", sigma3_file, "--color-cap", "3"],
         ["eval", sigma3_file, "--state", "ghz", "--clique-cap", "3"],
         ["verify", sigma3_file, "--max-iterations", "5"],
-        ["bounds", sigma3_file, "--verify", "--max-iterations", "5"],
+        # only verify runs the oracle
+        ["bounds", sigma3_file, "--verify"],
+        ["bounds", sigma3_file, "--seed", "1"],
+        ["bounds", sigma3_file, "--restarts", "4"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -333,6 +323,26 @@ def test_eval_refuses_a_matrix_that_is_not_a_state(tmp_path, capsys):
     assert "negative eigenvalue -0.5" in captured.err
 
 
+@pytest.mark.parametrize("kind, key, size", [("pure", "amplitudes", 4),
+                                             ("mixed", "matrix", 16)])
+@pytest.mark.parametrize(
+    "entry", [0, "ab", [None, 0], [True, 0], [float("nan"), 0], [0, float("inf")]]
+)
+def test_eval_refuses_a_state_entry_that_is_not_a_pair(
+    kind, key, size, entry, pair_file, tmp_path, capsys
+):
+    state = tmp_path / "malformed.json"
+    entries = [[0, 0]] * (size - 1) + [entry]
+    state.write_text(json.dumps({"width": 2, "kind": kind, key: entries}))
+    assert main(["eval", pair_file, "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert f"{size - 1} is {entry!r}, not a pair of real numbers" in lines[0]
+
+
 def test_eval_missing_state_file(sigma3_file, capsys):
     assert main(["eval", sigma3_file, "--state", "/no/such/state.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -399,28 +409,24 @@ def _oracle_reaching(value, monkeypatch):
 def test_verify_reports_violation(pair_file, capsys, monkeypatch):
     # A|B has bound 1; 1 + 2e-6 is over it by twice the soundness tolerance
     _oracle_reaching(1 + 2e-6, monkeypatch)
-    for argv in (["verify", pair_file], ["bounds", pair_file, "--verify"]):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        row = captured.out.splitlines()[-1].split()
-        assert row[:5] == ["A|B", "1", "1.000002000", "-0.000002000", "VIOLATION"]
-        assert "error:" in captured.err
+    assert main(["verify", pair_file]) == 1
+    captured = capsys.readouterr()
+    row = captured.out.splitlines()[-1].split()
+    assert row[:5] == ["A|B", "1", "1.000002000", "-0.000002000", "VIOLATION"]
+    assert "error:" in captured.err
 
 
-@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_exact_oracle_value_prints_no_negative_zero_gap(
     command, pair_file, capsys, monkeypatch
 ):
     # one ulp above the bound 1: a gap of -4.4e-16, inside the soundness
     # tolerance
     _oracle_reaching(1.0000000000000004, monkeypatch)
-    argv = [command, pair_file] + (["--verify"] if command == "bounds" else [])
-    assert main(argv) == 0
+    assert main([command, pair_file]) == 0
     out = capsys.readouterr().out
     assert "-0.000000000" not in out
-    # the verification table comes last, after any bounds table
-    row = [line for line in out.splitlines() if line.startswith("A|B ")][-1]
-    assert row.split()[3] == "0.000000000"
+    assert out.splitlines()[-1].split()[3] == "0.000000000"
 
 
 WIDTH8 = (
@@ -447,7 +453,7 @@ def test_verify_width_eight(width8_file, capsys):
     assert not any(row["violation"] for row in rows)
 
 
-@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_over_budget_verify_fails_before_any_search(
     command, width8_file, capsys, monkeypatch
 ):
@@ -458,14 +464,11 @@ def test_over_budget_verify_fails_before_any_search(
 
     monkeypatch.setattr(oracle_module, "maximize_q_product", forbidden)
     # 128 restarts charge 128 * 16 * 6320 on the width-8 set's 128 partitions
-    argv = [command, width8_file, "--restarts", "128"]
-    if command == "bounds":
-        argv.append("--verify")
-    assert main(argv) == 3
+    assert main([command, width8_file, "--restarts", "128"]) == 3
     assert "work budget" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["verify"], ["bounds", "--verify"]])
+@pytest.mark.parametrize("command", [["verify"]])
 def test_too_wide_verify_fails_before_the_report(
     command, tmp_path, capsys, monkeypatch
 ):
@@ -481,7 +484,7 @@ def test_too_wide_verify_fails_before_the_report(
     assert "product search on width 13 exceeds cap 12" in capsys.readouterr().err
 
 
-def test_bounds_verify_runs_one_symmetry_search(sigma15_file, capsys, monkeypatch):
+def test_verify_runs_one_symmetry_search(sigma15_file, capsys, monkeypatch):
     import paulicrit.bounds as bounds_module
 
     calls = []
@@ -492,13 +495,10 @@ def test_bounds_verify_runs_one_symmetry_search(sigma15_file, capsys, monkeypatc
         return search(*args, **kwargs)
 
     monkeypatch.setattr(bounds_module, "symmetry_group", counted)
-    flags = ["--json", "--restarts", "4", "--seed", "3"]
-    assert main(["bounds", sigma15_file, "--verify", *flags]) == 0
+    argv = ["verify", sigma15_file, "--json", "--restarts", "4", "--seed", "3"]
+    assert main(argv) == 0
     assert len(calls) == 1
-    rows = json.loads(capsys.readouterr().out)["verification"]
-    assert main(["verify", sigma15_file, *flags]) == 0
-    assert len(calls) == 2
-    assert rows == json.loads(capsys.readouterr().out)
+    rows = json.loads(capsys.readouterr().out)
     assert [row["partition"] for row in rows] == [
         "A|B|C|D|E", "A|BCDE", "AB|CDE", "ABD|CE"
     ]

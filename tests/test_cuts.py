@@ -103,6 +103,9 @@ def test_parse_partition_errors():
         parse_partition("0,2|", 3)
     with pytest.raises(ParseError):
         parse_partition("0x|1", 2)
+    # "²".isdigit() holds but int("²") fails: decimal digits only
+    with pytest.raises(ParseError, match=r"bad index '²' in partition '0\|²'"):
+        parse_partition("0|²", 2)
 
 
 def test_enumerate_bipartitions_small():
