@@ -215,8 +215,11 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
             per_partition[p].bound for p in bipartitions
         )
 
-    plain = build_graph(sigma, Partition.single_block(width), "commute")
+    single = Partition.single_block(width)
+    plain = build_graph(sigma, single, "commute")
     clique = max_clique(plain)
+    # the no-cut witness passes the same pair check as every row's
+    _verify_cut_clique(tuple(sigma.members[i] for i in clique.witness), single)
     upper = chromatic_number(plain)[0] if quantum_upper else None
 
     notes.append(
@@ -259,8 +262,8 @@ def classify(q_value: float, report: BoundReport) -> Verdict:
     if q_value < 0:
         raise ValueError(f"criterion value cannot be negative, got {q_value}")
     claims: list[Claim] = []
-    full = report.class_bounds.get("full_separability")
-    if full is not None and q_value > full:
+    full = report.class_bounds["full_separability"]
+    if q_value > full:
         claims.append(Claim("entangled (not fully separable)", float(full)))
     finest = Partition.finest(report.width)
     for part, row in report.per_partition.items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import sys
 from typing import Sequence
@@ -39,28 +40,21 @@ from .pauli import OperatorSet, cp_expand, parse_pauli
 _NAMED_STATES = ("ghz", "w", "smolin", "basis")
 
 
-# These three stay names of this module, which the commands call through,
-# because bench/spans.py wraps ``cli.evaluate_q``, ``cli.load_state`` and
-# ``cli.verify_bound``.
-def evaluate_q(state, sigma: OperatorSet):
-    """``states.evaluate_q``, imported on first call: it loads numpy."""
-    from .states import evaluate_q
+def _lazy(module: str, name: str):
+    """``module.name``, imported on first call: ``states`` and ``oracle`` load numpy."""
 
-    return evaluate_q(state, sigma)
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(
+            *args, **kwargs
+        )
 
-
-def load_state(path):
-    """``states.load_state``, imported on first call: it loads numpy."""
-    from .states import load_state
-
-    return load_state(path)
+    return call
 
 
-def verify_bound(sigma: OperatorSet, part: Partition, config=None):
-    """``oracle.verify_bound``, imported on first call: it loads numpy."""
-    from .oracle import verify_bound
-
-    return verify_bound(sigma, part, config)
+# the commands call these through this module, where bench/spans.py wraps them
+evaluate_q = _lazy(".states", "evaluate_q")
+load_state = _lazy(".states", "load_state")
+verify_bound = _lazy(".oracle", "verify_bound")
 
 
 def _load_sigma(path: str) -> OperatorSet:
@@ -205,8 +199,8 @@ def cmd_verify(args) -> int:
     # can never search is refused before its report is built
     check_work_budget(sigma, [finest], config)
     rows = criteria_report(sigma).per_partition
-    reps = sorted({row.orbit for row in rows.values()})
-    parts = [finest] + [rep for rep in reps if rep != finest]
+    # the finest partition, its own orbit and the least one, leads them
+    parts = sorted({row.orbit for row in rows.values()})
     # then every partition to be searched, together, before any search
     check_work_budget(sigma, parts, config)
     records = [verify_against(sigma, part, rows[part].bound, config) for part in parts]

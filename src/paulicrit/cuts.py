@@ -124,10 +124,6 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.block_count == 1
-
     def __str__(self) -> str:
         if self.width <= 26:
             return "|".join(
@@ -191,8 +187,12 @@ def enumerate_bipartitions(width: int) -> list[Partition]:
         raise ValueError("bipartitions need at least 2 qubits")
     count = (1 << (width - 1)) - 1
     if count > BIPARTITION_CAP:
+        try:
+            shown = str(count)
+        except ValueError:  # more digits than int-to-str conversion allows
+            shown = f"2**{width - 1} - 1"
         raise CapExceeded(
-            f"{count} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
+            f"{shown} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
         )
     sites = frozenset(range(width))
     # Qubit 0 always stays in the first block, killing the mirror double count.

@@ -3,6 +3,8 @@
 Vertices are the members of an operator set in their set order; edges
 record a pairwise cut relation.  Adjacency lives in one int bitmask per
 vertex, which keeps the branch-and-bound inner loops to a few word ops.
+``_bits`` is the one walk over a row's set bits, lowest first: the edge
+list and the DSATUR neighbour colours both read rows through it.
 
 ``cut_graphs`` is the one cut-relation kernel: one call builds the graph
 of every given partition from transposed (per-site) member bitmasks, and
@@ -53,6 +55,14 @@ def _side(n: int) -> int:
     """Row width in bits of the ``_stack`` layout: the smallest power of
     two that holds n bits, and at least one byte."""
     return max(8, 1 << (n - 1).bit_length())
+
+
+def _bits(row: int) -> Iterator[int]:
+    """Indices of the set bits of a row, lowest first."""
+    while row:
+        low = row & -row
+        row ^= low
+        yield low.bit_length() - 1
 
 
 def _stack(rows: Iterable[int], n: int) -> int:
@@ -152,16 +162,11 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with i < j, sorted."""
-        out = []
-        for i, row in enumerate(self.adjacency):
-            row >>= i + 1
-            j = i + 1
-            while row:
-                if row & 1:
-                    out.append((i, j))
-                row >>= 1
-                j += 1
-        return out
+        return [
+            (i, j)
+            for i, row in enumerate(self.adjacency)
+            for j in _bits(row & -(2 << i))
+        ]
 
     @property
     def edge_count(self) -> int:
@@ -410,10 +415,10 @@ def max_clique(g: Graph) -> CliqueResult:
 def independence_number(g: Graph) -> CliqueResult:
     """Exact maximum independent set, via the clique complement duality."""
     result = max_clique(complement(g))
-    for a in result.witness:
-        for b in result.witness:
-            if a != b and g.has_edge(a, b):
-                raise RuntimeError("independent-set witness failed verification")
+    wmask = sum(1 << v for v in result.witness)
+    for v in result.witness:
+        if g.adjacency[v] & wmask:
+            raise RuntimeError("independent-set witness failed verification")
     return result
 
 
@@ -426,19 +431,11 @@ def _dsatur_pick(adj: tuple[int, ...], colours: list[int]) -> tuple[int, set[int
     for v, colour in enumerate(colours):
         if colour >= 0:
             continue
-        seen = {colours[u] for u in _neighbours(adj, v) if colours[u] >= 0}
+        seen = {colours[u] for u in _bits(adj[v]) if colours[u] >= 0}
         key = (len(seen), adj[v].bit_count(), -v)
         if key > pick_key:
             pick, pick_key, banned = v, key, seen
     return pick, banned
-
-
-def _neighbours(adj: tuple[int, ...], v: int):
-    row = adj[v]
-    while row:
-        u = (row & -row).bit_length() - 1
-        row &= row - 1
-        yield u
 
 
 def _assign_colours(

@@ -243,9 +243,6 @@ class OperatorSet:
     def texts(self) -> tuple[str, ...]:
         return self._texts
 
-    def index(self, p: PauliString) -> int:
-        return self.members.index(p)
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -254,9 +251,6 @@ class OperatorSet:
 
     def __getitem__(self, idx: int) -> PauliString:
         return self.members[idx]
-
-    def __contains__(self, p: object) -> bool:
-        return p in self.members
 
     def __repr__(self) -> str:
         return f"OperatorSet({list(self.texts())!r})"

@@ -9,6 +9,10 @@ Expectations never build operator matrices.  A Pauli string acts on a
 basis state as P|b> = i**y * (-1)**popcount(b & zmask) |b ^ xmask>, with
 masks translated from qubit order to index order, so tr(rho P) is a
 single fancy-indexed sum.
+
+``common_eigenstate`` and ``anticommuting_unit_combination`` take their
+operators through one family check, ``_family``, which refuses an empty
+family, mixed widths, and a pair outside the wanted relation.
 """
 
 from __future__ import annotations
@@ -169,21 +173,9 @@ def evaluate_q(state: QuantumState, sigma: OperatorSet) -> QValue:
 
 
 def named_state(name: str, width: int, detail: str | None = None) -> QuantumState:
-    """Reference states: ghz, w, smolin, and computational basis states."""
+    """Reference states: ghz, w, smolin, and computational basis states;
+    a pure one wider than ``PURE_QUBIT_CAP`` is refused before allocation."""
     name = name.lower()
-    if name == "ghz":
-        if width < 2:
-            raise ValueError("ghz needs at least 2 qubits")
-        vec = np.zeros(1 << width, dtype=complex)
-        vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
-        return QuantumState.pure(vec)
-    if name == "w":
-        if width < 2:
-            raise ValueError("w needs at least 2 qubits")
-        vec = np.zeros(1 << width, dtype=complex)
-        for q in range(width):
-            vec[1 << (width - 1 - q)] = 1.0 / np.sqrt(width)
-        return QuantumState.pure(vec)
     if name == "smolin":
         if width != 4:
             raise ValueError("smolin is a 4 qubit state")
@@ -201,16 +193,29 @@ def named_state(name: str, width: int, detail: str | None = None) -> QuantumStat
             psi = np.kron(bell, bell)
             rho += 0.25 * np.outer(psi, psi.conj())
         return QuantumState.mixed(rho)
+    if name not in ("ghz", "w", "basis"):
+        raise ValueError(f"unknown state name {name!r}")
+    if width > PURE_QUBIT_CAP:
+        raise CapExceeded(
+            f"{name} state on width {width} exceeds cap {PURE_QUBIT_CAP}"
+        )
     if name == "basis":
         if detail is None:
             raise ValueError("basis state needs a bitstring, e.g. basis:0101")
         bits = detail.strip()
         if len(bits) != width or any(b not in "01" for b in bits):
             raise ValueError(f"bitstring {detail!r} does not match width {width}")
-        vec = np.zeros(1 << width, dtype=complex)
+    elif width < 2:
+        raise ValueError(f"{name} needs at least 2 qubits")
+    vec = np.zeros(1 << width, dtype=complex)
+    if name == "ghz":
+        vec[0] = vec[-1] = 1.0 / np.sqrt(2.0)
+    elif name == "w":
+        for q in range(width):
+            vec[1 << (width - 1 - q)] = 1.0 / np.sqrt(width)
+    else:
         vec[int(bits, 2)] = 1.0
-        return QuantumState.pure(vec)
-    raise ValueError(f"unknown state name {name!r}")
+    return QuantumState.pure(vec)
 
 
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:
@@ -238,6 +243,26 @@ def check_eigenstate_cap(width: int) -> None:
         )
 
 
+def _family(ops: Iterable[PauliString], anticommuting: bool) -> list[PauliString]:
+    """The operators as a list, refused when there are none, when their
+    widths differ, or when a pair is not in the wanted relation: pairwise
+    anticommuting if ``anticommuting``, else pairwise commuting."""
+    ops = list(ops)
+    if not ops:
+        raise ValueError("need at least one operator")
+    width = ops[0].width
+    if any(op.width != width for op in ops):
+        raise ValueError("operators must share a width")
+    for i, a in enumerate(ops):
+        for b in ops[i + 1 :]:
+            if anticommutes(a, b) != anticommuting:
+                relation = "commute" if anticommuting else "anticommute"
+                raise ValueError(
+                    f"operators {format_pauli(a)} and {format_pauli(b)} {relation}"
+                )
+    return ops
+
+
 def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
     """A simultaneous +-1 eigenstate of a pairwise commuting family.
 
@@ -246,21 +271,11 @@ def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
     and sum to a unit vector, so one has norm at least 1/sqrt(2); and P
     commutes with the earlier projectors, so their +-1 relations survive.
     """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
+    ops = _family(ops, anticommuting=False)
     width = ops[0].width
-    if any(op.width != width for op in ops):
-        raise ValueError("operators must share a width")
     check_eigenstate_cap(width)
     if any(op.is_identity for op in ops):
         raise ValueError("identity operator has no sign choice")
-    for i, a in enumerate(ops):
-        for b in ops[i + 1 :]:
-            if anticommutes(a, b):
-                raise ValueError(
-                    f"operators {format_pauli(a)} and {format_pauli(b)} anticommute"
-                )
 
     vec = np.zeros(1 << width, dtype=complex)
     vec[0] = 1.0
@@ -329,20 +344,9 @@ def anticommuting_unit_combination(
     ``to_matrix`` refuses widths above its qubit cap before any matrix is
     allocated.
     """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
+    ops = _family(ops, anticommuting=True)
     if len(ops) != len(coeffs):
         raise ValueError("one coefficient per operator required")
-    width = ops[0].width
-    if any(op.width != width for op in ops):
-        raise ValueError("operators must share a width")
-    for i, a in enumerate(ops):
-        for b in ops[i + 1 :]:
-            if not anticommutes(a, b):
-                raise ValueError(
-                    f"operators {format_pauli(a)} and {format_pauli(b)} commute"
-                )
     norm = float(np.sqrt(sum(float(c) ** 2 for c in coeffs)))
     if abs(norm - 1.0) > _NORM_TOL:
         raise ValueError(f"coefficient vector norm {norm} is not 1")
@@ -374,26 +378,31 @@ def _complex_entries(pairs: list, what: str) -> np.ndarray:
 
 
 def state_from_json_obj(obj: dict) -> QuantumState:
+    """The state of a JSON object; its width must be a JSON integer, at most
+    the cap of its kind, which is checked before any amplitude is read."""
     try:
-        width = int(obj["width"])
+        width = obj["width"]
         kind = obj["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state object: {exc}") from exc
-    if width < 1:
-        raise ValueError(f"bad state width {width}")
+    if type(width) is not int or width < 1:
+        raise ValueError(f"bad state width {width!r}")
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"unknown state kind {kind!r}")
+    cap = PURE_QUBIT_CAP if kind == "pure" else MIXED_QUBIT_CAP
+    if width > cap:
+        raise CapExceeded(f"{kind} state of width {width} exceeds cap {cap}")
     dim = 1 << width
     if kind == "pure":
         pairs = obj.get("amplitudes")
         if not isinstance(pairs, list) or len(pairs) != dim:
             raise ValueError(f"pure state needs {dim} amplitude pairs")
         return QuantumState.pure(_complex_entries(pairs, "amplitude"))
-    if kind == "mixed":
-        pairs = obj.get("matrix")
-        if not isinstance(pairs, list) or len(pairs) != dim * dim:
-            raise ValueError(f"mixed state needs {dim * dim} matrix entries")
-        flat = _complex_entries(pairs, "matrix entry")
-        return QuantumState.mixed(flat.reshape(dim, dim))
-    raise ValueError(f"unknown state kind {kind!r}")
+    pairs = obj.get("matrix")
+    if not isinstance(pairs, list) or len(pairs) != dim * dim:
+        raise ValueError(f"mixed state needs {dim * dim} matrix entries")
+    flat = _complex_entries(pairs, "matrix entry")
+    return QuantumState.mixed(flat.reshape(dim, dim))
 
 
 def save_state(state: QuantumState, path) -> None:

@@ -24,7 +24,7 @@ from paulicrit import (
     restrict,
 )
 from paulicrit.cuts import cut_commute
-from paulicrit.graphs import CliqueResult, Graph, chromatic_number
+from paulicrit.graphs import CliqueResult, Graph, build_graph, chromatic_number
 from paulicrit.pauli import format_pauli
 
 
@@ -172,6 +172,24 @@ def test_witness_check_refuses_a_cut_anticommuting_pair(sigma3, monkeypatch):
         criteria_report(sigma3)
     with pytest.raises(RuntimeError, match="failed the cut relation check"):
         bound_for_partition(sigma3, parse_partition("AB|C", 3))
+
+
+def test_witness_check_refuses_a_non_clique_no_cut_witness(sigma3, monkeypatch):
+    # xxx and yxx anticommute, so (0, 1) is no clique of the plain graph;
+    # every cut graph differs from it, so only the no-cut witness is bad
+    plain = build_graph(sigma3, Partition.single_block(3), "commute")
+    assert not plain.has_edge(0, 1)
+    real = bounds_module.max_clique
+    calls = []
+
+    def fake(g):
+        calls.append(g == plain)
+        return CliqueResult(2, (0, 1)) if g == plain else real(g)
+
+    monkeypatch.setattr(bounds_module, "max_clique", fake)
+    with pytest.raises(RuntimeError, match="failed the cut relation check"):
+        criteria_report(sigma3)
+    assert calls.count(True) == 1 and calls[-1]
 
 
 def test_criteria_report_two_qubit_pair():

@@ -156,17 +156,24 @@ def test_oversized_set_fails_before_any_search(command, tmp_path, capsys, monkey
     assert "clique search on 129 vertices exceeds cap 128" in capsys.readouterr().err
 
 
-def test_wide_bounds_fails_on_the_bipartition_cap(tmp_path, capsys, monkeypatch):
+# 2**19999 - 1 has more decimal digits than Python's int-to-str limit
+@pytest.mark.parametrize(
+    "width, count", [(20, "524287"), (20000, "2**19999 - 1")], ids=["20", "20000"]
+)
+def test_wide_bounds_fails_on_the_bipartition_cap(
+    width, count, tmp_path, capsys, monkeypatch
+):
     import paulicrit.bounds as bounds_module
 
     def forbidden(*args, **kwargs):
         raise AssertionError("symmetry search ran past the bipartition cap")
 
     monkeypatch.setattr(bounds_module, "symmetry_group", forbidden)
-    path = tmp_path / "width20.txt"
-    path.write_text("x" * 20 + "\n")
+    path = tmp_path / f"width{width}.txt"
+    path.write_text("x" * width + "\n")
     assert main(["bounds", str(path)]) == 3
-    assert "524287 bipartitions of width 20 exceed cap 32767" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{count} bipartitions of width {width} exceed cap 32767" in err
 
 
 def test_graph_dot_output(sigma3_file, capsys):
@@ -306,6 +313,51 @@ def test_eval_state_width_mismatch(sigma15_file, tmp_path, capsys):
     save_state(named_state("ghz", 3), state_path)
     assert main(["eval", sigma15_file, "--state", str(state_path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_named_state_over_the_cap_before_allocating(tmp_path, capsys):
+    # 2**40 amplitudes would take 16 TiB
+    sigma = tmp_path / "width40.txt"
+    sigma.write_text("x" * 40 + "\n")
+    assert main(["eval", str(sigma), "--state", "ghz"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == ["error: ghz state on width 40 exceeds cap 12"]
+
+
+@pytest.mark.parametrize("width", [True, 1.7, "1"])
+def test_eval_refuses_a_state_width_that_is_not_an_integer(width, tmp_path, capsys):
+    sigma = tmp_path / "x.txt"
+    sigma.write_text("x\n")
+    state = tmp_path / "coerced.json"
+    state.write_text(
+        json.dumps({"width": width, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]})
+    )
+    assert main(["eval", str(sigma), "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad state width {width!r}\n"
+
+
+def test_eval_refuses_a_state_width_over_the_cap_before_any_shift(
+    tmp_path, fresh_python
+):
+    # 1 << 10**11 would fill 12.5 GB; the address space is capped at 2 GB so
+    # that a regression fails with MemoryError instead of taking it
+    sigma = tmp_path / "x.txt"
+    sigma.write_text("x\n")
+    state = tmp_path / "huge.json"
+    state.write_text('{"width": 100000000000, "kind": "pure", "amplitudes": []}')
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.RLIM_INFINITY))\n"
+        "from paulicrit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    run = fresh_python(script, "eval", str(sigma), "--state", str(state))
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == "error: pure state of width 100000000000 exceeds cap 12\n"
 
 
 def test_eval_refuses_a_matrix_that_is_not_a_state(tmp_path, capsys):

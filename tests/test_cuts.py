@@ -73,8 +73,6 @@ def test_partition_masks():
 def test_partition_constructors():
     assert Partition.finest(3).blocks == ((0,), (1,), (2,))
     assert Partition.single_block(3).blocks == ((0, 1, 2),)
-    assert Partition.single_block(3).is_trivial
-    assert not Partition.finest(3).is_trivial
     assert Partition.finest(4).block_count == 4
 
 

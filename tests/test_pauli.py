@@ -184,7 +184,6 @@ def test_operator_set_basics():
     assert len(s) == 3
     assert s.texts() == ("xx", "yy", "zz")
     assert s.width == 2
-    assert s.index(parse_pauli("yy")) == 1
     assert parse_pauli("yy") in s
     assert parse_pauli("xz") not in s
 

@@ -133,7 +133,7 @@ def test_expectation_width_mismatch_and_caps(monkeypatch):
     ghz = named_state("ghz", 3)
     with pytest.raises(ValueError):
         expectation(ghz, parse_pauli("xx"))
-    wide = named_state("basis", 13, "0" * 13)
+    wide = QuantumState.pure(np.eye(1, 1 << 13).reshape(-1))
     with pytest.raises(CapExceeded):
         expectation(wide, parse_pauli("z" * 13))
     mixed = QuantumState.mixed(np.eye(1 << 9) / float(1 << 9))
@@ -190,7 +190,7 @@ def test_named_state_basis_indexing():
     assert expectation(state, parse_pauli("1z11")) == pytest.approx(-1.0)
 
 
-def test_named_state_errors():
+def test_named_state_errors(monkeypatch):
     with pytest.raises(ValueError):
         named_state("ghz", 1)
     with pytest.raises(ValueError):
@@ -201,6 +201,12 @@ def test_named_state_errors():
         named_state("basis", 3, None)
     with pytest.raises(ValueError):
         named_state("cluster", 4)
+    # pure states are refused over the cap, read at call time, before the
+    # amplitudes are allocated
+    monkeypatch.setattr(states_module, "PURE_QUBIT_CAP", 2)
+    for args in (("ghz", 3), ("w", 3), ("basis", 3, "000")):
+        with pytest.raises(CapExceeded, match=f"{args[0]} state on width 3 exceeds cap 2"):
+            named_state(*args)
 
 
 def test_smolin_correlations():
@@ -397,6 +403,10 @@ def test_state_json_rejects_malformed(tmp_path):
         )
     with pytest.raises(ValueError):
         state_from_json_obj({"kind": "thermal", "width": 1, "amplitudes": []})
+    # a kind that is a JSON list or object is unknown too, not a TypeError
+    for kind in ([], {}):
+        with pytest.raises(ValueError, match="unknown state kind"):
+            state_from_json_obj({"kind": kind, "width": 1})
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(ValueError):
