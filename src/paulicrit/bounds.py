@@ -165,8 +165,9 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     width = sigma.width
     # every graph below has one vertex per member; refuse before any search
     check_clique_cap(len(sigma))
-    finest = Partition.finest(width)
+    # the bipartition cap reads the width alone, before any partition is built
     bipartitions = enumerate_bipartitions(width) if width >= 2 else []
+    finest = Partition.finest(width)
     # at width 2 the finest partition is the one bipartition
     parts = [finest] + [p for p in bipartitions if p != finest]
     notes: list[str] = []

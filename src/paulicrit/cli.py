@@ -1,7 +1,8 @@
 """Command line surface for bound reports, graphs, evaluation, verification.
 
-``verify`` is the one command that runs the numerical oracle.  It admits
-the finest partition, which every verification searches, then builds the
+``verify`` is the one command that runs the numerical oracle.  It reads
+the oracle's width cap before it builds any partition, then admits the
+finest partition, which every verification searches, then builds the
 ``criteria_report`` of the set, then runs the oracle on its finest
 partition and sorted orbit representatives, each against its row's bound.
 So the symmetry search runs once, and a set the oracle can never search is
@@ -194,10 +195,11 @@ def cmd_verify(args) -> int:
 
     sigma = _load_sigma(args.sigma)
     config = OracleConfig(restarts=args.restarts, seed=args.seed)
-    finest = Partition.finest(sigma.width)
-    # every verification searches the finest partition: a set the oracle
-    # can never search is refused before its report is built
-    check_work_budget(sigma, [finest], config)
+    # the width cap first, on no partition, before any partition is built;
+    # then the finest partition, which every verification searches: a set
+    # the oracle can never search is refused before its report is built
+    check_work_budget(sigma, [], config)
+    check_work_budget(sigma, [Partition.finest(sigma.width)], config)
     rows = criteria_report(sigma).per_partition
     # the finest partition, its own orbit and the least one, leads them
     parts = sorted({row.orbit for row in rows.values()})

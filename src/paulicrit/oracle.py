@@ -23,6 +23,17 @@ surveyed and kept only where its exact Q is at least the value after
 the second sweep, so Q never decreases.  A trial is not a sweep:
 settling, convergence and the sweep budget count plain sweeps only.
 
+Each block's member actions come from one gather table,
+``states.gather_table``.  The sweep calls numpy's ufunc reductions
+directly, and forms norms by the formula ``numpy.linalg.norm`` evaluates
+on one axis, so each float operation on a restart row is the one numpy's
+wrappers would run, on the same operands in the same order.  A row's
+operations do not depend on the batch of restarts it runs in.  They can
+depend on how a survey splits the members into chunks, since the BLAS
+may group a product's rows differently by their count; the chunk size
+is fixed by ``_BATCH_AMPLITUDES`` and the block, so results stay
+deterministic.
+
 One admission check, ``check_work_budget``, runs before any search: the
 width cap, and a work budget on the amplitudes a sweep touches:
 restarts x members x the summed block dimensions, summed over the
@@ -44,13 +55,13 @@ from . import states
 from .bounds import bound_for_partition
 from .cuts import Partition
 from .errors import CapExceeded
-from .pauli import OperatorSet, restrict
+from .pauli import OperatorSet
 from .states import (
     QuantumState,
     assemble_product,
     evaluate_q,
+    gather_table,
     haar_unit,
-    pauli_action,
 )
 
 ORACLE_WORK_BUDGET = 8_000_000
@@ -62,6 +73,9 @@ SOUNDNESS_TOL = 1e-6
 CONVERGENCE_TOL = 1e-9
 # sweeps per restart; read at call time, so tests may patch it here
 MAX_SWEEPS = 2000
+
+# unit eigenvectors of x, y and z for eigenvalue +1, one per row
+_AXES = np.array([[1.0, 1.0], [1.0, 1.0j], [np.sqrt(2.0), 0.0]]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +111,9 @@ def check_work_budget(
 ) -> None:
     """The oracle's one admission check: raise CapExceeded when sigma is
     wider than ``states.PURE_QUBIT_CAP``, or when restarts x members x the
-    summed 2^|block| over ``parts`` exceeds ``ORACLE_WORK_BUDGET``."""
+    summed 2^|block| over ``parts`` exceeds ``ORACLE_WORK_BUDGET``.  The
+    width is read first, so with no parts the check is the width cap
+    alone."""
     if sigma.width > states.PURE_QUBIT_CAP:
         raise CapExceeded(
             f"product search on width {sigma.width} exceeds cap "
@@ -119,18 +135,18 @@ def _block_action(
     (s_b psi)[r, k, i] = phases[k, i] * psi[r, perms[k, i]].  On a
     one-qubit block the third entry holds each member's letter one-hot
     over (x, y, z), a zero row for the identity; on wider blocks it is
-    None."""
-    idx = np.arange(1 << len(block))
-    perms = np.empty((len(sigma), idx.size), dtype=np.int64)
-    phases = np.empty((len(sigma), idx.size), dtype=complex)
-    letters = np.zeros((len(sigma), 3)) if len(block) == 1 else None
-    for k, member in enumerate(sigma.members):
-        site = restrict(member, block)
-        flip, phases[k] = pauli_action(site)
-        perms[k] = idx ^ flip
-        if letters is not None and (site.x_bits or site.z_bits):
-            # (x_bits, z_bits) is (1, 0) for x, (1, 1) for y, (0, 1) for z
-            letters[k, 2 * site.z_bits - (site.x_bits & site.z_bits)] = 1.0
+    None.  All three come from ``states.gather_table``."""
+    dim = 1 << len(block)
+    perms = np.empty((len(sigma), dim), dtype=np.int64)
+    phases = np.empty((len(sigma), dim), dtype=complex)
+    letters = np.empty((len(sigma), 3)) if len(block) == 1 else None
+    table = gather_table(sigma.members, block, _BATCH_AMPLITUDES)
+    for start, chunk_perms, chunk_phases, chunk_letters in table:
+        stop = start + len(chunk_perms)
+        perms[start:stop] = chunk_perms
+        phases[start:stop] = chunk_phases
+        if letters is not None:
+            letters[start:stop] = chunk_letters
     return perms, phases, letters
 
 
@@ -144,16 +160,32 @@ def _survey(
     _BATCH_AMPLITUDES goes in chunks of members, each multiplied and
     reduced while it is in cache."""
     perms, phases, _ = action
-    exps = np.empty(moved.shape[:2])
     bra = psi.conj()[:, :, None]
     step = max(1, _BATCH_AMPLITUDES // psi.size)
+    if step >= len(perms):
+        psi.take(perms, axis=1, out=moved, mode="clip")
+        moved *= phases
+        return (moved @ bra)[:, :, 0].real
+    exps = np.empty(moved.shape[:2])
     for k in range(0, len(perms), step):
         chunk = moved[:, k : k + step]
         # the indices are in range; "clip" lets take write into out unbuffered
-        np.take(psi, perms[k : k + step], axis=1, out=chunk, mode="clip")
+        psi.take(perms[k : k + step], axis=1, out=chunk, mode="clip")
         chunk *= phases[k : k + step]
         exps[:, k : k + step] = (chunk @ bra)[:, :, 0].real
     return exps
+
+
+def _q_values(exps: np.ndarray) -> np.ndarray:
+    """Q of each restart row from exps[block, row, member]: the sum over
+    members of the squared product over blocks."""
+    return np.add.reduce(np.multiply.reduce(exps, axis=0) ** 2, axis=1)
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, by the formula numpy.linalg.norm
+    evaluates for axis=1."""
+    return np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1))
 
 
 def _qubit_maximizer(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
@@ -162,8 +194,7 @@ def _qubit_maximizer(weights: np.ndarray, letters: np.ndarray) -> np.ndarray:
     so an eigenstate of sigma_j for j = argmax m attains the maximum
     max_j m_j + C.  argmax takes the first maximum, so ties go to x, then
     y, then z."""
-    axes = np.array([[1.0, 1.0], [1.0, 1.0j], [np.sqrt(2.0), 0.0]]) / np.sqrt(2.0)
-    return axes[np.argmax(weights @ letters, axis=1)]
+    return _AXES[np.argmax(weights @ letters, axis=1)]
 
 
 def _squared_trial(
@@ -178,13 +209,15 @@ def _squared_trial(
     non-finite, and such a row's trial is x2."""
     r = [b - a for a, b in zip(x0, x1)]
     v = [c - 2.0 * b + a for a, b, c in zip(x0, x1, x2)]
-    r_norm = np.sqrt(sum(np.sum(np.abs(d) ** 2, axis=1) for d in r))
-    v_norm = np.sqrt(sum(np.sum(np.abs(d) ** 2, axis=1) for d in v))
+    r_norm = np.sqrt(sum(np.add.reduce(np.abs(d) ** 2, axis=1) for d in r))
+    v_norm = np.sqrt(sum(np.add.reduce(np.abs(d) ** 2, axis=1) for d in v))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         alpha = np.minimum(-r_norm / v_norm, -1.0)[:, None]
         trial = [a - 2.0 * alpha * dr + alpha**2 * dv for a, dr, dv in zip(x0, r, v)]
-        trial = [t / np.linalg.norm(t, axis=1)[:, None] for t in trial]
-    finite = np.logical_and.reduce([np.isfinite(t).all(axis=1) for t in trial])
+        trial = [t / _norms(t)[:, None] for t in trial]
+    finite = np.logical_and.reduce(
+        [np.logical_and.reduce(np.isfinite(t), axis=1) for t in trial]
+    )
     return [np.where(finite[:, None], t, x) for t, x in zip(trial, x2)], finite
 
 
@@ -209,7 +242,7 @@ def _extrapolate(
     trial_exps = exps.copy()
     for j, bi in enumerate(wide):
         trial_exps[bi] = _survey(actions[bi], trial[j], moved[bi])
-    trial_values = np.sum(np.prod(trial_exps, axis=0) ** 2, axis=1)
+    trial_values = _q_values(trial_exps)
     accept = finite & (trial_values >= values[rows])
     values[rows[accept]] = trial_values[accept]
     exps[:, accept] = trial_exps[:, accept]
@@ -241,12 +274,15 @@ def _ascend(
         for (perms, _, _), f in zip(actions, factors)
     ]
     exps = np.stack([_survey(a, f, m) for a, f, m in zip(actions, factors, moved)])
-    values = np.sum(np.prod(exps, axis=0) ** 2, axis=1)
+    values = _q_values(exps)
     sweeps = np.zeros(len(draws), dtype=np.int64)
     converged = np.zeros(len(draws), dtype=bool)
 
     # blocks of two or more qubits, the ones the squared extrapolation moves
     wide = [bi for bi, action in enumerate(actions) if action[2] is None]
+    # others[bi] lists every block but bi
+    blocks = np.arange(len(actions))
+    others = [np.delete(blocks, bi) for bi in blocks]
 
     # moved, exps and settled hold the active restarts only; rows maps
     # them back
@@ -258,24 +294,26 @@ def _ascend(
         if sweep % 2 == 0:
             start = [factors[bi].copy() for bi in wide]
         sweeps[rows] += 1
+        any_settled = settled.any()
         for bi, action in enumerate(actions):
-            others = np.prod(np.delete(exps, bi, axis=0), axis=0)
-            weights = others * others
+            rest = np.multiply.reduce(exps[others[bi]], axis=0)
+            weights = rest * rest
             coeffs = weights * exps[bi]
             psi = factors[bi][rows]
             target = (coeffs[:, None, :] @ moved[bi])[:, 0]
-            target += np.abs(coeffs).sum(axis=1)[:, None] * psi
-            norms = np.linalg.norm(target, axis=1)
+            target += np.add.reduce(np.abs(coeffs), axis=1)[:, None] * psi
+            norms = _norms(target)
             # every coefficient vanishes only where Q = 0, a critical point
             stuck = norms <= 1e-12
-            target[stuck], norms[stuck] = psi[stuck], 1.0
+            if stuck.any():
+                target[stuck], norms[stuck] = psi[stuck], 1.0
             psi = target / norms[:, None]
             letters = action[2]
-            if letters is not None and settled.any():
+            if letters is not None and any_settled:
                 psi[settled] = _qubit_maximizer(weights[settled], letters)
             factors[bi][rows] = psi
             exps[bi] = _survey(action, psi, moved[bi])
-        new_values = np.sum(np.prod(exps, axis=0) ** 2, axis=1)
+        new_values = _q_values(exps)
         gain = new_values - values[rows]
         values[rows] = new_values
         scale = np.maximum(1.0, np.abs(new_values))

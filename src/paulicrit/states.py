@@ -8,7 +8,13 @@ basis index b encodes the bitstring of qubit values read left to right.
 Expectations never build operator matrices.  A Pauli string acts on a
 basis state as P|b> = i**y * (-1)**popcount(b & zmask) |b ^ xmask>, with
 masks translated from qubit order to index order, so tr(rho P) is a
-single fancy-indexed sum.
+single fancy-indexed sum.  ``gather_table`` lays out these actions for a
+whole member list on a block at once, built from the members' bits by
+whole-array integer ops; each row equals ``pauli_action`` of the member
+restricted to the block, bit for bit.  The oracle's block actions and
+``evaluate_q``'s terms (on the block of all qubits) both come from it,
+and ``evaluate_q`` sums each term with the same float operations as
+``expectation``.
 
 ``common_eigenstate`` and ``anticommuting_unit_combination`` take their
 operators through one family check, ``_family``, which refuses an empty
@@ -20,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -118,6 +124,61 @@ def pauli_action(p: PauliString) -> tuple[int, np.ndarray]:
     return ix, phases.astype(complex)
 
 
+def gather_table(
+    members: Sequence[PauliString], block: Iterable[int], amplitudes: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """The members' actions on a block as one gather table:
+    (s_k psi)[i] = phases[k, i] * psi[perms[k, i]] over the block's
+    2^|block| amplitudes, the block's sites in qubit order.  On a one-qubit
+    block, letters[k] is member k's letter one-hot over (x, y, z), a zero
+    row for the identity; on wider blocks letters is None.
+
+    Yields (start, perms, phases, letters) for consecutive chunks of
+    max(1, amplitudes >> |block|) members from members[start], so no
+    chunk's temporary holds more than max(amplitudes, 2^|block|) entries.  Row k equals
+    ``pauli_action(restrict(members[k], block))`` bit for bit; it is built
+    from the members' bits (members at most 63 qubits wide) by whole-array
+    integer ops."""
+    sites = sorted(set(block))
+    size = len(sites)
+    x_bits = np.array([m.x_bits for m in members], dtype=np.int64)
+    z_bits = np.array([m.z_bits for m in members], dtype=np.int64)
+    xmasks = np.zeros_like(x_bits)
+    zmasks = np.zeros_like(z_bits)
+    y_count = np.zeros_like(x_bits)
+    # qubit sites[j] is index bit size - 1 - j of the block
+    for j, site in enumerate(sites):
+        x = (x_bits >> site) & 1
+        z = (z_bits >> site) & 1
+        xmasks |= x << (size - 1 - j)
+        zmasks |= z << (size - 1 - j)
+        y_count += x & z
+    # i**y, the constants pauli_action multiplies
+    units = np.array([1.0j**k for k in range(4)])[y_count % 4]
+    letters = None
+    if size == 1:
+        # x and z are the one site's bits: (1, 0) for x, (1, 1) for y,
+        # (0, 1) for z
+        letters = np.zeros((len(members), 3))
+        hot = np.flatnonzero(x | z)
+        letters[hot, (2 * z - y_count)[hot]] = 1.0
+    idx = np.arange(1 << size)
+    # odd[i] says whether i has an odd number of set bits
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(size):
+        odd = np.concatenate([odd, ~odd])
+    step = max(1, amplitudes >> size)
+    for start in range(0, len(members), step):
+        stop = start + step
+        sign = np.where(odd[idx & zmasks[start:stop, None]], -1.0, 1.0)
+        yield (
+            start,
+            idx ^ xmasks[start:stop, None],
+            units[start:stop, None] * sign,
+            None if letters is None else letters[start:stop],
+        )
+
+
 def apply_pauli(p: PauliString, vector: np.ndarray) -> np.ndarray:
     """P |psi> for a pure amplitude vector, without building a matrix."""
     vec = np.asarray(vector, dtype=complex).reshape(-1)
@@ -130,16 +191,22 @@ def apply_pauli(p: PauliString, vector: np.ndarray) -> np.ndarray:
     return (phases * vec)[idx ^ ix]
 
 
-def expectation(state: QuantumState, p: PauliString) -> float:
-    """tr(rho P), real by Hermiticity, via bitwise index action; pure
-    states up to ``PURE_QUBIT_CAP`` qubits, mixed up to ``MIXED_QUBIT_CAP``."""
-    if state.width != p.width:
+def _check_expectation(state: QuantumState, width: int) -> None:
+    """Refuse operators of another width than the state, then a state over
+    its kind's cap: ``PURE_QUBIT_CAP`` or ``MIXED_QUBIT_CAP``."""
+    if state.width != width:
         raise ValueError(
-            f"state width {state.width} does not match operator width {p.width}"
+            f"state width {state.width} does not match operator width {width}"
         )
     cap = PURE_QUBIT_CAP if state.is_pure else MIXED_QUBIT_CAP
     if state.width > cap:
         raise CapExceeded(f"expectation on width {state.width} exceeds cap {cap}")
+
+
+def expectation(state: QuantumState, p: PauliString) -> float:
+    """tr(rho P), real by Hermiticity, via bitwise index action; pure
+    states up to ``PURE_QUBIT_CAP`` qubits, mixed up to ``MIXED_QUBIT_CAP``."""
+    _check_expectation(state, p.width)
     ix, phases = pauli_action(p)
     idx = np.arange(1 << state.width)
     if state.is_pure:
@@ -161,14 +228,28 @@ class QValue:
 
 
 def evaluate_q(state: QuantumState, sigma: OperatorSet) -> QValue:
-    """Criterion value of a state on an operator set, with per-member terms."""
+    """Criterion value of a state on an operator set, with per-member
+    terms.  Each <s> is tr(rho s) from the set's ``gather_table`` on all
+    qubits, one sum per member; a chunk of members holds no more
+    amplitudes than one pure state at ``PURE_QUBIT_CAP``, so no temporary
+    outgrows one expectation's at that cap."""
+    _check_expectation(state, sigma.width)
+    data = state.data
+    idx = np.arange(1 << state.width)
+    texts = sigma.texts()
     contributions: dict[str, float] = {}
     total = 0.0
-    for member in sigma.members:
-        e = expectation(state, member)
-        term = e * e
-        contributions[format_pauli(member)] = term
-        total += term
+    table = gather_table(sigma.members, range(state.width), 1 << PURE_QUBIT_CAP)
+    for start, perms, phases, _ in table:
+        if state.is_pure:
+            terms = data * phases * np.conj(data[perms])
+        else:
+            terms = data[idx, perms] * phases
+        values = np.add.reduce(terms, axis=1).real.tolist()
+        for text, e in zip(texts[start : start + len(values)], values):
+            term = e * e
+            contributions[text] = term
+            total += term
     return QValue(total, contributions)
 
 

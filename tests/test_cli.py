@@ -176,6 +176,30 @@ def test_wide_bounds_fails_on_the_bipartition_cap(
     assert f"{count} bipartitions of width {width} exceed cap 32767" in err
 
 
+@pytest.mark.parametrize(
+    "command, width, message",
+    [
+        ("bounds", 17, "65535 bipartitions of width 17 exceed cap 32767"),
+        ("verify", 13, "product search on width 13 exceeds cap 12"),
+    ],
+)
+def test_width_caps_are_read_before_any_partition_is_built(
+    command, width, message, tmp_path, capsys, monkeypatch
+):
+    """Building ``Partition.finest`` costs time quadratic in the width, so
+    each command's width cap refuses first."""
+    from paulicrit.cuts import Partition
+
+    def forbidden(cls, width):
+        raise AssertionError(f"Partition.finest({width}) built before the width cap")
+
+    monkeypatch.setattr(Partition, "finest", classmethod(forbidden))
+    path = tmp_path / f"width{width}.txt"
+    path.write_text("x" * width + "\n")
+    assert main([command, str(path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_graph_dot_output(sigma3_file, capsys):
     assert main(["graph", sigma3_file, "--relation", "anticommute"]) == 0
     out = capsys.readouterr().out
@@ -625,11 +649,11 @@ def test_bounds_json_matches_golden_file(name, capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("name", ["ex8", "eq15", "pad4"])
+@pytest.mark.parametrize("name", ["ex8", "eq15", "pad4", "code5"])
 def test_verify_json_matches_golden_file(name, capsys):
     """``verify --json --restarts 8`` on the fixture sets: pad4 exits 1 on
-    ABC|D.  The floats may differ by 1e-9 across numpy versions; every
-    other key must match exactly."""
+    ABC|D; code5 is a stabilizer set.  The floats may differ by 1e-9
+    across numpy versions; every other key must match exactly."""
     code = main(["verify", str(DATA / f"{name}.txt"), "--json", "--restarts", "8"])
     assert code == (1 if name == "pad4" else 0)
     _assert_verify_golden(json.loads(capsys.readouterr().out), name)

@@ -24,9 +24,13 @@ from paulicrit import (
     to_matrix,
 )
 import paulicrit.states as states_module
+from paulicrit.cuts import enumerate_bipartitions
+from paulicrit.pauli import PauliString
 from paulicrit.states import (
     apply_pauli,
+    gather_table,
     load_state,
+    pauli_action,
     save_state,
     state_from_json_obj,
     state_to_json_obj,
@@ -164,6 +168,78 @@ def test_evaluate_q_terms_bounded(sigma15):
     q = evaluate_q(random_pure(rng, 5), sigma15)
     for term in q.contributions.values():
         assert -1e-12 <= term <= 1.0 + 1e-12
+
+
+def seeded_set(width, count, seed):
+    """``count`` distinct non-identity strings of the width, drawn from a
+    seeded generator, in draw order."""
+    rng = np.random.default_rng(seed)
+    pairs = {}
+    while len(pairs) < count:
+        x, z = (int(bits) for bits in rng.integers(0, 1 << width, size=2))
+        if x or z:
+            pairs[x, z] = None
+    return OperatorSet(PauliString(width, x, z) for x, z in pairs)
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+def test_gather_table_matches_each_member_action(width):
+    """Every row of the table, on every block of the finest partition, of
+    each bipartition and of the single block, equals the per-member route
+    bit for bit, in one chunk or one member per chunk."""
+    sigma = seeded_set(width, min(4**width - 1, 12), width)
+    parts = [Partition.finest(width), Partition.single_block(width)]
+    if width >= 2:
+        parts += enumerate_bipartitions(width)
+    for block in sorted({block for part in parts for block in part.blocks}):
+        idx = np.arange(1 << len(block))
+        for amplitudes in (1, 1 << 18):
+            step = max(1, amplitudes >> len(block))
+            rows, starts = [], []
+            for start, perms, phases, letters in gather_table(
+                sigma.members, block, amplitudes
+            ):
+                starts.append(start)
+                hots = [None] * len(perms) if letters is None else list(letters)
+                rows += zip(perms, phases, hots)
+            assert starts == list(range(0, len(sigma), step))
+            assert len(rows) == len(sigma)
+            for member, (perm, phase, hot) in zip(sigma.members, rows):
+                site = restrict(member, block)
+                flip, want = pauli_action(site)
+                assert np.array_equal(perm, idx ^ flip)
+                assert np.array_equal(phase, want)
+                assert phase.tobytes() == want.tobytes()
+                if len(block) > 1:
+                    assert hot is None
+                    continue
+                # the letter one-hot over (x, y, z), zero for the identity
+                one_hot = np.zeros(3)
+                if site.x_bits or site.z_bits:
+                    one_hot[2 * site.z_bits - (site.x_bits & site.z_bits)] = 1.0
+                assert np.array_equal(hot, one_hot)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8])
+def test_evaluate_q_equals_the_sum_of_member_expectations(width):
+    """Q and each term equal the squared ``expectation`` of each member,
+    summed in member order, exactly; width 8 takes three member chunks."""
+    sigma = seeded_set(width, min(4**width - 1, 40), 10 + width)
+    rng = np.random.default_rng(width)
+    states = [random_pure(rng, width), random_mixed(rng, width)]
+    if width >= 2:
+        states += [named_state("ghz", width), named_state("w", width)]
+    if width == 4:
+        states.append(named_state("smolin", 4))
+    for state in states:
+        q = evaluate_q(state, sigma)
+        assert list(q.contributions) == list(sigma.texts())
+        total = 0.0
+        for member, text in zip(sigma.members, sigma.texts()):
+            e = expectation(state, member)
+            assert q.contributions[text] == e * e
+            total += e * e
+        assert q.value == total
 
 
 def test_qvalue_json_obj(sigma3):
