@@ -11,9 +11,9 @@ exactly when popcount(w & block_mask) is odd, so each partition carries
 its block bitmasks (``Partition.masks``) and the cut test is one parity
 per block.  ``graphs.cut_graphs`` applies the same parity rule to all
 pairs at once, on per-site bitmasks of the members.  ``pauli.restrict``
-builds a restriction where an operator is needed: ``oracle`` restricts
-every member to each block it searches, and the tests compare this rule
-against it.
+builds a restriction as an operator.  The program builds none: the
+oracle reads its block actions from ``states.gather_table``.  The tests
+compare this rule against ``restrict``.
 
 The symmetry group of a set is found by a stabilizer-chain search (Sims'
 method), capped in width and in search work.  G_i, the elements fixing

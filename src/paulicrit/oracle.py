@@ -132,7 +132,10 @@ def _block_action(
     sigma: OperatorSet, block: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Gather indices and phases of every member restricted to the block:
-    (s_b psi)[r, k, i] = phases[k, i] * psi[r, perms[k, i]].  On a
+    phases[k, i] * psi[r, perms[k, i]] is (s_b^T psi)[r, k, i], and the
+    transpose s_b^T is s_b times (-1)^(its y letters).  That sign cancels
+    in Q, which squares each expectation, and in the power step, which
+    weights each member's action by its expectation.  On a
     one-qubit block the third entry holds each member's letter one-hot
     over (x, y, z), a zero row for the identity; on wider blocks it is
     None.  All three come from ``states.gather_table``."""
@@ -155,9 +158,9 @@ def _survey(
     psi: np.ndarray,
     moved: np.ndarray,
 ) -> np.ndarray:
-    """Fill moved[r, k] with s_k psi_r for every restart row r and member k,
-    and return the expectations <s_k>_r.  A restart wider than
-    _BATCH_AMPLITUDES goes in chunks of members, each multiplied and
+    """Fill moved[r, k] with s_k^T psi_r for every restart row r and member
+    k, and return the expectations <s_k^T>_r = +-<s_k>_r.  A restart wider
+    than _BATCH_AMPLITUDES goes in chunks of members, each multiplied and
     reduced while it is in cache."""
     perms, phases, _ = action
     bra = psi.conj()[:, :, None]

@@ -9,12 +9,10 @@ Expectations never build operator matrices.  A Pauli string acts on a
 basis state as P|b> = i**y * (-1)**popcount(b & zmask) |b ^ xmask>, with
 masks translated from qubit order to index order, so tr(rho P) is a
 single fancy-indexed sum.  ``gather_table`` lays out these actions for a
-whole member list on a block at once, built from the members' bits by
-whole-array integer ops; each row equals ``pauli_action`` of the member
-restricted to the block, bit for bit.  The oracle's block actions and
-``evaluate_q``'s terms (on the block of all qubits) both come from it,
-and ``evaluate_q`` sums each term with the same float operations as
-``expectation``.
+whole member list on a block at once, and every Pauli action on
+amplitudes comes from it: the oracle's block actions, the projections of
+``common_eigenstate``, and one trace routine, ``_traces``, which gives
+both ``expectation`` and ``evaluate_q`` their values of tr(rho s).
 
 ``common_eigenstate`` and ``anticommuting_unit_combination`` take their
 operators through one family check, ``_family``, which refuses an empty
@@ -97,48 +95,22 @@ class QuantumState:
         return self.data.copy()
 
 
-def _index_mask(width: int, qubit_mask: int) -> int:
-    """Translate a qubit-order bitmask into a basis-index bitmask."""
-    out = 0
-    for q in range(width):
-        if (qubit_mask >> q) & 1:
-            out |= 1 << (width - 1 - q)
-    return out
-
-
-def pauli_action(p: PauliString) -> tuple[int, np.ndarray]:
-    """Index flip mask and per-basis phase vector of a Pauli string."""
-    width = p.width
-    dim = 1 << width
-    ix = _index_mask(width, p.x_bits)
-    iz = _index_mask(width, p.z_bits)
-    idx = np.arange(dim)
-    parity = np.zeros(dim, dtype=np.int64)
-    m = iz
-    while m:
-        bit = (m & -m).bit_length() - 1
-        parity ^= (idx >> bit) & 1
-        m &= m - 1
-    y_count = (p.x_bits & p.z_bits).bit_count()
-    phases = (1.0j ** (y_count % 4)) * np.where(parity, -1.0, 1.0)
-    return ix, phases.astype(complex)
-
-
 def gather_table(
     members: Sequence[PauliString], block: Iterable[int], amplitudes: int
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]]:
-    """The members' actions on a block as one gather table:
-    (s_k psi)[i] = phases[k, i] * psi[perms[k, i]] over the block's
-    2^|block| amplitudes, the block's sites in qubit order.  On a one-qubit
-    block, letters[k] is member k's letter one-hot over (x, y, z), a zero
-    row for the identity; on wider blocks letters is None.
+    """The members' actions on a block as one gather table: member k
+    restricted to the block, s_k, sends basis state |b> of the block's
+    2^|block| amplitudes (its sites in qubit order) to
+    phases[k, b] |perms[k, b]>, so phases[k, b] == S_k[perms[k, b], b] for
+    the matrix S_k of s_k.  On a one-qubit block, letters[k] is member
+    k's letter one-hot over (x, y, z), a zero row for the identity; on
+    wider blocks letters is None.
 
     Yields (start, perms, phases, letters) for consecutive chunks of
     max(1, amplitudes >> |block|) members from members[start], so no
-    chunk's temporary holds more than max(amplitudes, 2^|block|) entries.  Row k equals
-    ``pauli_action(restrict(members[k], block))`` bit for bit; it is built
-    from the members' bits (members at most 63 qubits wide) by whole-array
-    integer ops."""
+    chunk's temporary holds more than max(amplitudes, 2^|block|) entries.
+    The table is built from the members' bits (members at most 63 qubits
+    wide) by whole-array integer ops."""
     sites = sorted(set(block))
     size = len(sites)
     x_bits = np.array([m.x_bits for m in members], dtype=np.int64)
@@ -153,7 +125,7 @@ def gather_table(
         xmasks |= x << (size - 1 - j)
         zmasks |= z << (size - 1 - j)
         y_count += x & z
-    # i**y, the constants pauli_action multiplies
+    # i**y, the constant factor of each member's phases
     units = np.array([1.0j**k for k in range(4)])[y_count % 4]
     letters = None
     if size == 1:
@@ -179,18 +151,6 @@ def gather_table(
         )
 
 
-def apply_pauli(p: PauliString, vector: np.ndarray) -> np.ndarray:
-    """P |psi> for a pure amplitude vector, without building a matrix."""
-    vec = np.asarray(vector, dtype=complex).reshape(-1)
-    if vec.shape[0] != 1 << p.width:
-        raise ValueError(
-            f"vector length {vec.shape[0]} does not match width {p.width}"
-        )
-    ix, phases = pauli_action(p)
-    idx = np.arange(vec.shape[0])
-    return (phases * vec)[idx ^ ix]
-
-
 def _check_expectation(state: QuantumState, width: int) -> None:
     """Refuse operators of another width than the state, then a state over
     its kind's cap: ``PURE_QUBIT_CAP`` or ``MIXED_QUBIT_CAP``."""
@@ -203,17 +163,29 @@ def _check_expectation(state: QuantumState, width: int) -> None:
         raise CapExceeded(f"expectation on width {state.width} exceeds cap {cap}")
 
 
-def expectation(state: QuantumState, p: PauliString) -> float:
-    """tr(rho P), real by Hermiticity, via bitwise index action; pure
-    states up to ``PURE_QUBIT_CAP`` qubits, mixed up to ``MIXED_QUBIT_CAP``."""
-    _check_expectation(state, p.width)
-    ix, phases = pauli_action(p)
+def _traces(state: QuantumState, members: Sequence[PauliString]) -> Iterator[float]:
+    """tr(rho s), real by Hermiticity, for each member in order, from the
+    members' ``gather_table`` on all qubits with one sum per member.  A
+    chunk of members holds no more amplitudes than one pure state at
+    ``PURE_QUBIT_CAP``, so no temporary outgrows one expectation's at that
+    cap."""
+    data = state.data
     idx = np.arange(1 << state.width)
-    if state.is_pure:
-        value = np.sum(state.data * phases * np.conj(state.data[idx ^ ix]))
-    else:
-        value = np.sum(state.data[idx, idx ^ ix] * phases)
-    return float(value.real)
+    table = gather_table(members, range(state.width), 1 << PURE_QUBIT_CAP)
+    for _, perms, phases, _ in table:
+        if state.is_pure:
+            terms = data * phases * np.conj(data[perms])
+        else:
+            terms = data[idx, perms] * phases
+        yield from np.add.reduce(terms, axis=1).real.tolist()
+
+
+def expectation(state: QuantumState, p: PauliString) -> float:
+    """tr(rho P) on pure states up to ``PURE_QUBIT_CAP`` qubits, mixed up
+    to ``MIXED_QUBIT_CAP``."""
+    _check_expectation(state, p.width)
+    (value,) = _traces(state, [p])
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,27 +201,15 @@ class QValue:
 
 def evaluate_q(state: QuantumState, sigma: OperatorSet) -> QValue:
     """Criterion value of a state on an operator set, with per-member
-    terms.  Each <s> is tr(rho s) from the set's ``gather_table`` on all
-    qubits, one sum per member; a chunk of members holds no more
-    amplitudes than one pure state at ``PURE_QUBIT_CAP``, so no temporary
-    outgrows one expectation's at that cap."""
+    terms: the squares of each member's ``expectation``, summed in member
+    order."""
     _check_expectation(state, sigma.width)
-    data = state.data
-    idx = np.arange(1 << state.width)
-    texts = sigma.texts()
     contributions: dict[str, float] = {}
     total = 0.0
-    table = gather_table(sigma.members, range(state.width), 1 << PURE_QUBIT_CAP)
-    for start, perms, phases, _ in table:
-        if state.is_pure:
-            terms = data * phases * np.conj(data[perms])
-        else:
-            terms = data[idx, perms] * phases
-        values = np.add.reduce(terms, axis=1).real.tolist()
-        for text, e in zip(texts[start : start + len(values)], values):
-            term = e * e
-            contributions[text] = term
-            total += term
+    for text, e in zip(sigma.texts(), _traces(state, sigma.members)):
+        term = e * e
+        contributions[text] = term
+        total += term
     return QValue(total, contributions)
 
 
@@ -351,6 +311,7 @@ def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
     or (1 - P)/2 where that annihilates it.  The two halves are orthogonal
     and sum to a unit vector, so one has norm at least 1/sqrt(2); and P
     commutes with the earlier projectors, so their +-1 relations survive.
+    Each P applies from its ``gather_table`` row as (phases * v)[perms].
     """
     ops = _family(ops, anticommuting=False)
     width = ops[0].width
@@ -360,18 +321,16 @@ def common_eigenstate(ops: Iterable[PauliString]) -> QuantumState:
 
     vec = np.zeros(1 << width, dtype=complex)
     vec[0] = 1.0
-    for op in ops:
-        moved = apply_pauli(op, vec)
+    for _, perms, phases, _ in gather_table(ops, range(width), 1):
+        moved = (phases[0] * vec)[perms[0]]
         half = 0.5 * (vec + moved)
         if np.linalg.norm(half) < 1e-6:
             half = 0.5 * (vec - moved)
         vec = half / np.linalg.norm(half)
-    if not all(
-        abs(abs(float(np.vdot(vec, apply_pauli(op, vec)).real)) - 1.0) <= 1e-8
-        for op in ops
-    ):
+    state = QuantumState.pure(vec)
+    if not all(abs(abs(e) - 1.0) <= 1e-8 for e in _traces(state, ops)):
         raise RuntimeError("no common eigenstate found for the commuting family")
-    return QuantumState.pure(vec)
+    return state
 
 
 def assemble_product(part: Partition, factors: Sequence[np.ndarray]) -> QuantumState:

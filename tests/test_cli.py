@@ -659,6 +659,16 @@ def test_verify_json_matches_golden_file(name, capsys):
     _assert_verify_golden(json.loads(capsys.readouterr().out), name)
 
 
+@pytest.mark.parametrize("name", ["eq15", "code5", "pad4"])
+def test_generate_clique_state_matches_golden_file(name, capsys):
+    """``generate --clique-state`` on the fixture sets, byte for byte.
+    pad4's clique holds members with one y letter, whose action is not
+    symmetric under a sign flip of the phases."""
+    assert main(["generate", "--clique-state", str(DATA / f"{name}.txt")]) == 0
+    golden = (DATA / f"{name}.clique-state.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
 def _assert_verify_golden(rows, name):
     golden = json.loads((DATA / f"{name}.verify.json").read_text(encoding="utf-8"))
     assert len(rows) == len(golden)

@@ -71,6 +71,18 @@ def test_format_round_trip_exhaustive():
         assert str(parse_pauli(text)) == text
 
 
+def test_format_round_trip_long_and_seeded():
+    """Texts of widths 1-200 and one of 5000 letters, in mixed case; the
+    text form is read back from the full-width masks."""
+    rng = np.random.default_rng(67)
+    texts = [
+        "".join(rng.choice(list("1xyzXYZ"), size=width)) for width in range(1, 201)
+    ]
+    texts.append("".join(rng.choice(list("1xyz"), size=5000)))
+    for text in texts:
+        assert format_pauli(parse_pauli(text)) == text.lower()
+
+
 def test_weight_and_identity():
     assert weight(parse_pauli("11")) == 0
     assert parse_pauli("11").is_identity

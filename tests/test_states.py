@@ -27,10 +27,8 @@ import paulicrit.states as states_module
 from paulicrit.cuts import enumerate_bipartitions
 from paulicrit.pauli import PauliString
 from paulicrit.states import (
-    apply_pauli,
     gather_table,
     load_state,
-    pauli_action,
     save_state,
     state_from_json_obj,
     state_to_json_obj,
@@ -110,27 +108,21 @@ def test_expectation_ghz():
 
 
 def test_expectation_matches_matrix_trace():
+    """``expectation`` and every ``evaluate_q`` term against the dense
+    trace tr(rho S), on pure and mixed states of widths 1-6."""
     rng = np.random.default_rng(41)
-    for width in (1, 2, 3, 4):
+    for width in range(1, 7):
         states = [random_pure(rng, width), random_mixed(rng, width)]
-        for _ in range(25):
-            text = "".join(rng.choice(list("1xyz"), size=width))
-            op = to_matrix(parse_pauli(text))
-            for state in states:
-                direct = expectation(state, parse_pauli(text))
-                trace = np.trace(state.density() @ op).real
+        sigma = seeded_set(width, min(4**width - 1, 25), 20 + width)
+        for state in states:
+            rho = state.density()
+            q = evaluate_q(state, sigma)
+            for member, text in zip(sigma.members, sigma.texts()):
+                trace = np.trace(rho @ to_matrix(member)).real
+                direct = expectation(state, member)
                 assert direct == pytest.approx(trace, abs=1e-10)
                 assert abs(direct) <= 1.0 + 1e-10
-
-
-def test_apply_pauli_matches_matrix():
-    rng = np.random.default_rng(43)
-    for width in (1, 2, 3):
-        vec = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
-        for _ in range(20):
-            text = "".join(rng.choice(list("1xyz"), size=width))
-            p = parse_pauli(text)
-            assert np.allclose(apply_pauli(p, vec), to_matrix(p) @ vec)
+                assert q.contributions[text] == pytest.approx(trace**2, abs=1e-10)
 
 
 def test_expectation_width_mismatch_and_caps(monkeypatch):
@@ -185,8 +177,9 @@ def seeded_set(width, count, seed):
 @pytest.mark.parametrize("width", range(1, 7))
 def test_gather_table_matches_each_member_action(width):
     """Every row of the table, on every block of the finest partition, of
-    each bipartition and of the single block, equals the per-member route
-    bit for bit, in one chunk or one member per chunk."""
+    each bipartition and of the single block, holds the one nonzero entry
+    of each column of the member's restricted matrix, exactly, in one
+    chunk or one member per chunk."""
     sigma = seeded_set(width, min(4**width - 1, 12), width)
     parts = [Partition.finest(width), Partition.single_block(width)]
     if width >= 2:
@@ -206,10 +199,9 @@ def test_gather_table_matches_each_member_action(width):
             assert len(rows) == len(sigma)
             for member, (perm, phase, hot) in zip(sigma.members, rows):
                 site = restrict(member, block)
-                flip, want = pauli_action(site)
-                assert np.array_equal(perm, idx ^ flip)
-                assert np.array_equal(phase, want)
-                assert phase.tobytes() == want.tobytes()
+                matrix = to_matrix(site)
+                assert np.count_nonzero(matrix) == 1 << len(block)
+                assert np.array_equal(phase, matrix[perm, idx])
                 if len(block) > 1:
                     assert hot is None
                     continue
