@@ -16,7 +16,9 @@ oracle reads its block actions from ``states.gather_table``.  The tests
 compare this rule against ``restrict``.
 
 The symmetry group of a set is found by a stabilizer-chain search (Sims'
-method), capped in width and in search work.  G_i, the elements fixing
+method), capped in search work (``SYMMETRY_WORK_BUDGET``) and refused
+only on the widths whose bipartitions ``BIPARTITION_CAP`` refuses, so
+every report the caps admit gets orbit pruning.  G_i, the elements fixing
 sites 0..i-1, is built for i = n-2 down to 0: the orbit of site i under
 the generators found so far is grown breadth-first, each point p with a
 carrier t_p sending i to p, and each site j > i outside that orbit gets
@@ -60,8 +62,6 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .errors import CapExceeded, ParseError
 from .pauli import OperatorSet, PauliString, site_map
 
-# The symmetry search is factorial in the worst case; stop well before that hurts.
-SYMMETRY_WIDTH_CAP = 12
 # A search node at depth d tests the n - d unused columns, each against
 # every member, so it is charged members * (n - d) column tests.  Only
 # listing the group (iterating the chain; reports never do) is charged
@@ -185,15 +185,9 @@ def enumerate_bipartitions(width: int) -> list[Partition]:
     refused before any is built when that is over ``BIPARTITION_CAP``."""
     if width < 2:
         raise ValueError("bipartitions need at least 2 qubits")
-    count = (1 << (width - 1)) - 1
-    if count > BIPARTITION_CAP:
-        try:
-            shown = str(count)
-        except ValueError:  # more digits than int-to-str conversion allows
-            shown = f"2**{width - 1} - 1"
-        raise CapExceeded(
-            f"{shown} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
-        )
+    excess = _bipartition_excess(width)
+    if excess:
+        raise CapExceeded(excess)
     sites = frozenset(range(width))
     # Qubit 0 always stays in the first block, killing the mirror double count.
     splits = [
@@ -203,6 +197,19 @@ def enumerate_bipartitions(width: int) -> list[Partition]:
     ]
     splits.sort()  # canonical block tuples sort as their partitions do
     return [Partition(width, split) for split in splits]
+
+
+def _bipartition_excess(width: int) -> str | None:
+    """Why ``BIPARTITION_CAP`` refuses the 2**(width-1) - 1 bipartitions
+    of a width, or None when it admits them; read at call time."""
+    count = (1 << (width - 1)) - 1
+    if count <= BIPARTITION_CAP:
+        return None
+    try:
+        shown = str(count)
+    except ValueError:  # more digits than int-to-str conversion allows
+        shown = f"2**{width - 1} - 1"
+    return f"{shown} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
 
 
 def cut_anticommute(p: PauliString, q: PauliString, part: Partition) -> bool:
@@ -314,15 +321,15 @@ def symmetry_group(sigma: OperatorSet) -> SymmetryChain:
     new label of qubit i.  A stabilizer chain (see the module docstring)
     finds one element per coset: at each level, a first-leaf search over
     images, with a multiset pruning test on letter-column prefixes, for
-    each site not yet in the orbit.  Worst case factorial, so the width is
-    capped (``SYMMETRY_WIDTH_CAP``) and so is the search's work
-    (``SYMMETRY_WORK_BUDGET``).
+    each site not yet in the orbit.  Worst case factorial, so the search's
+    work is capped (``SYMMETRY_WORK_BUDGET``).  The width is refused, before
+    any prefix key is built, exactly where ``BIPARTITION_CAP`` refuses the
+    width's bipartitions: no report needs the group of a wider set.
     """
     n = sigma.width
-    if n > SYMMETRY_WIDTH_CAP:
-        raise CapExceeded(
-            f"symmetry search on width {n} exceeds cap {SYMMETRY_WIDTH_CAP}"
-        )
+    excess = _bipartition_excess(n)
+    if excess:
+        raise CapExceeded(f"symmetry search on width {n}: {excess}")
     columns = [
         [(m.x_bits >> site & 1) | (m.z_bits >> site & 1) << 1 for m in sigma.members]
         for site in range(n)

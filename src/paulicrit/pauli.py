@@ -60,32 +60,36 @@ class PauliString:
         return format_pauli(self)
 
 
+_LEGAL = "1iIxXyYzZ"
+_DROP_LEGAL = str.maketrans("", "", _LEGAL)
+# each letter's x bit and z bit as a binary digit
+_X_DIGITS = str.maketrans(_LEGAL, "000111100")
+_Z_DIGITS = str.maketrans(_LEGAL, "000001111")
+
+
 def parse_pauli(text: str) -> PauliString:
     """Parse a site-letter string such as ``1xxxz``.
 
     Qubit 0 is the leftmost character.  Accepted letters are 1/i for the
-    identity and x, y, z in either case.
+    identity and x, y, z in either case.  Linear in the length: one
+    ``str.translate`` finds the first illegal character, and each mask is
+    one base-2 ``int`` of the text translated to that mask's digits and
+    reversed, so qubit 0 lands on bit 0.
     """
     if not text:
         raise ParseError("empty Pauli string")
-    x_bits = 0
-    z_bits = 0
-    for pos, ch in enumerate(text):
-        low = ch.lower()
-        if low in ("1", "i"):
-            continue
-        if low == "x":
-            x_bits |= 1 << pos
-        elif low == "y":
-            x_bits |= 1 << pos
-            z_bits |= 1 << pos
-        elif low == "z":
-            z_bits |= 1 << pos
-        else:
-            raise ParseError(
-                f"illegal character {ch!r} at position {pos} in {text!r}"
-            )
-    return PauliString(len(text), x_bits, z_bits)
+    illegal = text.translate(_DROP_LEGAL)
+    if illegal:
+        ch = illegal[0]
+        raise ParseError(
+            f"illegal character {ch!r} at position {text.index(ch)} in {text!r}"
+        )
+    reverse = text[::-1]
+    return PauliString(
+        len(text),
+        int(reverse.translate(_X_DIGITS), 2),
+        int(reverse.translate(_Z_DIGITS), 2),
+    )
 
 
 def format_pauli(p: PauliString) -> str:

@@ -21,6 +21,7 @@ family, mixed widths, and a pair outside the wanted relation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -110,45 +111,62 @@ def gather_table(
     max(1, amplitudes >> |block|) members from members[start], so no
     chunk's temporary holds more than max(amplitudes, 2^|block|) entries.
     The table is built from the members' bits (members at most 63 qubits
-    wide) by whole-array integer ops."""
+    wide) by whole-array integer ops over all of the block's sites at
+    once; the index and sign tables of each block size are built once
+    and cached read-only (``_block_tables``)."""
     sites = sorted(set(block))
     size = len(sites)
-    x_bits = np.array([m.x_bits for m in members], dtype=np.int64)
-    z_bits = np.array([m.z_bits for m in members], dtype=np.int64)
-    xmasks = np.zeros_like(x_bits)
-    zmasks = np.zeros_like(z_bits)
-    y_count = np.zeros_like(x_bits)
-    # qubit sites[j] is index bit size - 1 - j of the block
-    for j, site in enumerate(sites):
-        x = (x_bits >> site) & 1
-        z = (z_bits >> site) & 1
-        xmasks |= x << (size - 1 - j)
-        zmasks |= z << (size - 1 - j)
-        y_count += x & z
-    # i**y, the constant factor of each member's phases
-    units = np.array([1.0j**k for k in range(4)])[y_count % 4]
+    idx, signs, places = _block_tables(size)
+    # qubit sites[j] is index bit places[j] = size - 1 - j of the block
+    shifts = np.array(sites, dtype=np.int64)
+    x = np.array([m.x_bits for m in members], dtype=np.int64)[:, None] >> shifts & 1
+    z = np.array([m.z_bits for m in members], dtype=np.int64)[:, None] >> shifts & 1
+    xmasks = (x << places).sum(axis=1)
+    zmasks = (z << places).sum(axis=1)
+    y_count = (x & z).sum(axis=1)
+    units = _UNITS[y_count % 4]
     letters = None
     if size == 1:
         # x and z are the one site's bits: (1, 0) for x, (1, 1) for y,
         # (0, 1) for z
+        x, z = x[:, 0], z[:, 0]
         letters = np.zeros((len(members), 3))
         hot = np.flatnonzero(x | z)
         letters[hot, (2 * z - y_count)[hot]] = 1.0
-    idx = np.arange(1 << size)
-    # odd[i] says whether i has an odd number of set bits
-    odd = np.zeros(1, dtype=bool)
-    for _ in range(size):
-        odd = np.concatenate([odd, ~odd])
     step = max(1, amplitudes >> size)
     for start in range(0, len(members), step):
         stop = start + step
-        sign = np.where(odd[idx & zmasks[start:stop, None]], -1.0, 1.0)
         yield (
             start,
             idx ^ xmasks[start:stop, None],
-            units[start:stop, None] * sign,
+            units[start:stop, None] * signs[idx & zmasks[start:stop, None]],
             None if letters is None else letters[start:stop],
         )
+
+
+# i**k for k = 0..3: a member's phases carry i**y for its y count y
+_UNITS = np.array([1.0j**k for k in range(4)])
+_UNITS.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def _block_tables(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables of a block of ``size`` qubits: ``np.arange(2**size)``,
+    its signs (-1.0 at the indices with an odd number of set bits, 1.0 at
+    the others) and the index bit of each site, size - 1 down to 0.  One
+    entry per block size: the callers' qubit caps keep sizes to at most
+    ``PURE_QUBIT_CAP``, whose tables take 64 KB."""
+    odd = np.zeros(1, dtype=bool)
+    for _ in range(size):
+        odd = np.concatenate([odd, ~odd])
+    tables = (
+        np.arange(1 << size),
+        np.where(odd, -1.0, 1.0),
+        np.arange(size - 1, -1, -1, dtype=np.int64),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _check_expectation(state: QuantumState, width: int) -> None:
@@ -170,7 +188,7 @@ def _traces(state: QuantumState, members: Sequence[PauliString]) -> Iterator[flo
     ``PURE_QUBIT_CAP``, so no temporary outgrows one expectation's at that
     cap."""
     data = state.data
-    idx = np.arange(1 << state.width)
+    idx = _block_tables(state.width)[0]
     table = gather_table(members, range(state.width), 1 << PURE_QUBIT_CAP)
     for _, perms, phases, _ in table:
         if state.is_pure:

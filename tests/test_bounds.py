@@ -1,6 +1,7 @@
 """Partition bounds, class bounds, reports, and classification."""
 
 import gc
+import random
 import types
 
 import numpy as np
@@ -17,15 +18,16 @@ from paulicrit import (
     classify,
     common_eigenstate,
     criteria_report,
+    enumerate_bipartitions,
     evaluate_q,
     named_state,
     parse_partition,
     parse_pauli,
     restrict,
 )
-from paulicrit.cuts import cut_commute
+from paulicrit.cuts import cut_anticommute, cut_commute
 from paulicrit.graphs import CliqueResult, Graph, build_graph, chromatic_number
-from paulicrit.pauli import format_pauli
+from paulicrit.pauli import PauliString, cp_expand, format_pauli
 
 
 def test_bound_for_partition_three_qubit(sigma3):
@@ -190,6 +192,94 @@ def test_witness_check_refuses_a_non_clique_no_cut_witness(sigma3, monkeypatch):
     with pytest.raises(RuntimeError, match="failed the cut relation check"):
         criteria_report(sigma3)
     assert calls.count(True) == 1 and calls[-1]
+
+
+def _set_partition(rng, width):
+    labels = [rng.randrange(rng.randrange(1, width + 1)) for _ in range(width)]
+    blocks = {}
+    for site, label in enumerate(labels):
+        blocks.setdefault(label, []).append(site)
+    return Partition(width, tuple(map(tuple, blocks.values())))
+
+
+def _cut_clique(rng, part, size):
+    """``size`` members, repeats allowed, drawn from a product over the
+    blocks of random isotropic spans, so they pairwise cut-commute."""
+    spans = []
+    for mask in part.masks:
+        sites = [site for site in range(part.width) if mask >> site & 1]
+        gens = []
+        for _ in range(2 * len(sites)):
+            x = sum(1 << s for s in sites if rng.random() < 0.5)
+            z = sum(1 << s for s in sites if rng.random() < 0.5)
+            if all(((x & gz) ^ (z & gx)).bit_count() % 2 == 0 for gx, gz in gens):
+                gens.append((x, z))
+        spans.append(gens)
+    members = []
+    for _ in range(size):
+        x = z = 0
+        for gens in spans:
+            for gx, gz in gens:
+                if rng.random() < 0.5:
+                    x ^= gx
+                    z ^= gz
+        members.append(PauliString(part.width, x, z))
+    return members
+
+
+def test_cut_clique_certificate_matches_the_cut_relation():
+    # the witness check raises exactly when some pair cut-anticommutes, on
+    # both of its forms: pair by pair while (members - 1) * blocks is at
+    # most 2 * width, block by block above that
+    rng = random.Random(22)
+    forms = set()
+    for width in range(1, 9):
+        parts = {Partition.finest(width), Partition.single_block(width)}
+        if width >= 2:
+            parts.update(enumerate_bipartitions(width))
+        parts.update(_set_partition(rng, width) for _ in range(8))
+        for part in sorted(parts):
+            # the largest witness checked pair by pair
+            small = 1 + 2 * width // len(part.masks)
+            for size in (rng.randrange(2, small + 1), small + 1 + rng.randrange(width + 4)):
+                members = _cut_clique(rng, part, size)
+                k = rng.randrange(size)
+                m = members[k]
+                flipped = PauliString(width, m.x_bits ^ 1 << rng.randrange(width), m.z_bits)
+                stranger = PauliString(
+                    width, rng.randrange(1 << width), rng.randrange(1 << width)
+                )
+                for case in (
+                    members,
+                    members[:k] + [flipped] + members[k + 1 :],
+                    members[:-1] + [stranger],
+                ):
+                    clash = any(
+                        cut_anticommute(a, b, part)
+                        for i, a in enumerate(case)
+                        for b in case[i + 1 :]
+                    )
+                    forms.add((len(case) > small, clash))
+                    if clash:
+                        with pytest.raises(RuntimeError, match="failed the cut relation check"):
+                            bounds_module._verify_cut_clique(tuple(case), part)
+                    else:
+                        bounds_module._verify_cut_clique(tuple(case), part)
+    assert forms == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_wide_ring_products_are_pruned_by_orbit():
+    # the 39 products of 1-3 consecutive ring generators at width 13: the
+    # symmetry search runs past width 12, so 4096 rows fall into 190 orbits
+    patterns = ["xz1111111111z", "yyz111111111z", "yxyz11111111z"]
+    sigma = OperatorSet(m for text in patterns for m in cp_expand(parse_pauli(text)))
+    assert len(sigma) == 39
+    report = criteria_report(sigma)
+    assert "symmetry group order 26; 4096 partitions in 190 orbits" in report.notes
+    assert report.class_bounds == {"full_separability": 6, "any_bipartition": 33}
+    rows = list(report.per_partition.items())
+    for part, row in rows[::97] + rows[-3:]:
+        assert row.bound == bound_for_partition(sigma, part)[0]
 
 
 def test_criteria_report_two_qubit_pair():

@@ -1,7 +1,9 @@
 """Partitions, cut commutation, and the qubit-relabeling symmetry group."""
 
 import itertools
+import math
 import random
+import types
 from pathlib import Path
 
 import numpy as np
@@ -234,9 +236,14 @@ def test_symmetry_group_closure_property(sigma3):
 
 
 def test_symmetry_group_cap():
-    wide = OperatorSet.from_strings(["x" * 13])
-    with pytest.raises(CapExceeded):
-        symmetry_group(wide)
+    # refused exactly where the report's bipartitions are: width 16 is
+    # searched, width 17 is refused on its width alone, before any member
+    # is read into a prefix key
+    assert len(symmetry_group(OperatorSet.from_strings(["x" * 16]))) == math.factorial(16)
+    with pytest.raises(CapExceeded, match="width 17: 65535 bipartitions"):
+        symmetry_group(OperatorSet.from_strings(["x" * 17]))
+    with pytest.raises(CapExceeded, match="exceed cap 32767"):
+        symmetry_group(types.SimpleNamespace(width=17))
 
 
 def _fully_symmetric(width):

@@ -65,6 +65,41 @@ def test_parse_rejects_bad_input():
         parse_pauli("x x")
 
 
+def _parse_letter_by_letter(text):
+    """Reference parser: one site at a time, the first illegal character
+    reported with its position."""
+    x_bits = z_bits = 0
+    for pos, ch in enumerate(text):
+        low = ch.lower()
+        if low in ("x", "y"):
+            x_bits |= 1 << pos
+        if low in ("y", "z"):
+            z_bits |= 1 << pos
+        if low not in ("1", "i", "x", "y", "z"):
+            raise ParseError(f"illegal character {ch!r} at position {pos} in {text!r}")
+    return PauliString(len(text), x_bits, z_bits)
+
+
+def test_parse_matches_letter_by_letter_reference():
+    # legal letters of both cases mixed with characters that are not, some
+    # of which lower- or upper-case to a legal letter's neighbours
+    rng = np.random.default_rng(41)
+    legal = list("1iIxXyYzZ")
+    illegal = list("aAq0 \t-éİKＸ")
+    for width in list(range(1, 40)) + [500]:
+        for _ in range(10):
+            pool = legal + illegal if rng.random() < 0.4 else legal
+            text = "".join(rng.choice(pool, size=width))
+            try:
+                want = _parse_letter_by_letter(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as info:
+                    parse_pauli(text)
+                assert str(info.value) == str(exc)
+            else:
+                assert parse_pauli(text) == want
+
+
 def test_format_round_trip_exhaustive():
     for text in all_strings(3):
         assert format_pauli(parse_pauli(text)) == text
