@@ -20,10 +20,12 @@ pairwise anticommuting family contributing at most 1.
 ``criteria_report`` is the one route from a set to its rows and its
 class and no-cut bounds: one ``cut_graphs`` pass yields the graph of
 every orbit representative, one at a time, and ``build_graph`` the
-no-cut graph.  Every row's witness, and the no-cut one, is re-checked
-against its partition on the members' bits by ``_verify_cut_clique``,
-independently of the kernel: pair by pair for small witnesses, block by
-block for large ones.
+no-cut graph.  Each orbit's witness, and the no-cut one, is checked
+once, pair by pair on the members' bits, by ``_verify_cut_clique``,
+independently of the kernel.  Every other row is proved to be its
+representative's image under its carrier, a symmetry of the set:
+relabelling keeps every block parity, so the moved witness is a
+cut-clique of the row and the row's bound is its own clique number.
 ``verify`` checks the report's rows, taking each bound from its row.
 ``bound_for_partition`` serves a single partition, as the library's
 ``verify_bound`` does.
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field
 
 from .cuts import (
     Partition,
+    _lowest_bit,
     enumerate_bipartitions,
     partition_orbits,
     symmetry_group,
@@ -133,24 +136,8 @@ def _verify_cut_clique(
 ) -> None:
     """Raise unless the members pairwise cut-commute, by the parity rule of
     ``cuts``: a pair cut-anticommutes when its symplectic overlap has odd
-    weight on some block.  Checked on the members' bits, not by the cut
-    kernel, and exact in both of its forms.
-
-    The pair loop tests the k(k-1)/2 pairs of a k-member witness on each
-    of the b blocks; the block form costs about k * width.  So a witness
-    with (k - 1) * b <= 2 * width is checked pair by pair.  Timed on
-    seeded cliques at widths 5, 8, 10 and 16, that rule sits at the
-    crossover for bipartitions (7-15 members), and it sends every finest
-    partition to the block form, the faster one there at every size.  On
-    the single block it keeps the pair loop up to 2 * width + 1 members,
-    past the crossover at 15-20 members, where the pair loop is at most
-    1.7 times slower (33 members at width 16).  Any other witness is
-    checked block by block, in time linear in its size: three ORs of the
-    members' bits give the sites where two different letters meet, and
-    only those sites add to any overlap.  So a block with none of them
-    passes, a one-site block with one fails, and on a wider block the
-    members' restrictions to those sites must span an isotropic subspace
-    (``_isotropic``)."""
+    weight on some block.  Checked pair by pair on the members' bits, not
+    by the cut kernel; a pair with no overlap passes at once."""
     width = part.width
     for m in members:
         if m.width != width:
@@ -159,51 +146,13 @@ def _verify_cut_clique(
                 f"of width {m.width}"
             )
     masks = part.masks
-    if (len(members) - 1) * len(masks) <= 2 * width:
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                w = (a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            w = (a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)
+            if w:
                 for mask in masks:
                     if (w & mask).bit_count() & 1:
                         raise RuntimeError(_CUT_CHECK_FAILED)
-        return
-    # the sites where some member carries x, y and z respectively
-    x_at = y_at = z_at = 0
-    for m in members:
-        x_at |= m.x_bits & ~m.z_bits
-        y_at |= m.x_bits & m.z_bits
-        z_at |= m.z_bits & ~m.x_bits
-    mixed = (x_at & y_at) | (x_at & z_at) | (y_at & z_at)
-    for mask in masks:
-        sites = mask & mixed
-        if not sites:
-            continue
-        if mask & (mask - 1) == 0 or not _isotropic(members, sites, width):
-            raise RuntimeError(_CUT_CHECK_FAILED)
-
-
-def _isotropic(members: tuple[PauliString, ...], sites: int, width: int) -> bool:
-    """Whether the members' restrictions to ``sites`` pairwise commute.
-
-    A restriction is the vector x | z << width.  It commutes with every
-    earlier one exactly when it commutes with a basis of their span.  The
-    basis is kept in descending order with distinct leading bits, each
-    vector beside its symplectic dual z | x << width, so one AND and one
-    parity test a vector against a basis vector, and min(v, v ^ b) then
-    reduces it by that vector.  Reducing by basis vectors, which commute
-    with each other, changes no later test; a nonzero remainder joins the
-    basis."""
-    low = (1 << width) - 1
-    basis: list[tuple[int, int]] = []
-    for v in {m.x_bits & sites | (m.z_bits & sites) << width for m in members}:
-        for b, dual in basis:
-            if (v & dual).bit_count() & 1:
-                return False
-            v = min(v, v ^ b)
-        if v:
-            basis.append((v, v >> width | (v & low) << width))
-            basis.sort(reverse=True)
-    return True
 
 
 def bound_for_partition(
@@ -240,34 +189,44 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     except CapExceeded as exc:
         gens, order = (), 1
         notes.append(f"identity group used: {exc}; orbits not pruned")
-    # generators are symmetries, so all they generate are; witnesses re-checked
+    # generators are symmetries, so all they generate are
     orbits = partition_orbits(parts, gens)
     identity = tuple(range(width))
 
-    # one graph per orbit, from one pass of the cut kernel; first-met order
+    # one graph per orbit, from one pass of the cut kernel; first-met order;
+    # each orbit's witness is certified once, on its representative
     reps = list(dict.fromkeys(orbits[part][0] for part in parts))
     cliques = {rep: max_clique(g) for rep, g in zip(reps, cut_graphs(sigma, reps))}
-    # A row's witness is its representative's, moved by the row's carrier.
-    # site_map checks the carrier once per row; each member's bit pair then
-    # moves by table lookups and is looked up among sigma's members, so no
-    # string is built.  A moved pair outside sigma is refused; the members
-    # found equal the moved strings, and every row's witness is checked
-    # against the row's partition by _verify_cut_clique.
+    for rep, result in cliques.items():
+        _verify_cut_clique(tuple(sigma.members[i] for i in result.witness), rep)
+    # A row is proved to be its representative's image under its carrier:
+    # the carrier's site map must send the representative's block masks
+    # onto the row's (both sorted by lowest site), and the witness's bit
+    # pairs, moved by table lookups, onto members of sigma.  Relabelling
+    # keeps every block parity, so the moved witness is a cut-clique of the
+    # row, and since the carrier is a symmetry of sigma, the row's bound is
+    # its own clique number.  No string is built and no pair re-checked;
+    # each carrier's site map is built once.
     index_of = {(m.x_bits, m.z_bits): i for i, m in enumerate(sigma.members)}
     texts = sigma.texts()
+    moves = {}
     per_partition: dict[Partition, PartitionBound] = {}
     for part in parts:
         rep, g = orbits[part]
         result = cliques[rep]
         found = result.witness
-        members = tuple(sigma.members[i] for i in found)
+        image = rep.masks
         if g != identity:
-            move = site_map(g, width)
+            move = moves.get(g)
+            if move is None:
+                move = moves[g] = site_map(g, width)
+            image = tuple(sorted(map(move, image), key=_lowest_bit))
+            members = [sigma.members[i] for i in found]
             found = [index_of.get((move(m.x_bits), move(m.z_bits))) for m in members]
             if None in found:
                 raise RuntimeError("permuted bound witness is not a member of sigma")
-            members = tuple(sigma.members[i] for i in found)
-        _verify_cut_clique(members, part)
+        if image != part.masks:
+            raise RuntimeError(f"orbit carrier does not send {rep} onto {part}")
         witness = tuple(sorted(texts[i] for i in found))
         per_partition[part] = PartitionBound(result.size, witness, rep)
 

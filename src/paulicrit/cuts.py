@@ -360,17 +360,6 @@ def symmetry_group(sigma: OperatorSet) -> SymmetryChain:
     return SymmetryChain(n, tuple(gens), tuple(transversals), len(sigma.members))
 
 
-def permute_partition(part: Partition, perm: Sequence[int]) -> Partition:
-    """Apply a qubit relabeling to every block."""
-    if len(perm) != part.width:
-        raise ValueError(
-            f"permutation length {len(perm)} does not match width {part.width}"
-        )
-    return Partition(
-        part.width, tuple(tuple(perm[i] for i in block) for block in part.blocks)
-    )
-
-
 def _schreier_tree(
     root: T,
     moves: list[tuple[tuple[int, ...], Callable[[T], T]]],
@@ -417,14 +406,15 @@ def partition_orbits(
     Maps each given partition, and every other member of its orbit under
     the group that ``gens`` generate, to (rep, g): rep is the
     lexicographically smallest partition of the orbit and g a group element
-    with permute_partition(rep, g) == partition.  One Schreier tree per
-    orbit over the generators (a list of all elements also serves), grown
-    on block masks: a search from the first partition met finds the orbit
-    and its minimum, and unless that partition is the minimum, a second
-    rooted there gives each member its element (the root gets the
-    identity).  Members come from ``parts`` by their masks; only a member
-    outside ``parts`` is built.  Identities are dropped, and without other
-    generators every partition is its own orbit.
+    carrying rep onto the partition, each block {i, j, ...} of rep onto the
+    block {g[i], g[j], ...}.  One Schreier tree per orbit over the
+    generators (a list of all elements also serves), grown on block masks:
+    a search from the first partition met finds the orbit and its minimum,
+    and unless that partition is the minimum, a second rooted there gives
+    each member its element (the root gets the identity).  Members come
+    from ``parts`` by their masks; only a member outside ``parts`` is
+    built.  Identities are dropped, and without other generators every
+    partition is its own orbit.
     """
     gens = [tuple(g) for g in gens]
     widths = {len(g) for g in gens}

@@ -3,6 +3,7 @@
 import gc
 import random
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from paulicrit import (
 from paulicrit.cuts import cut_anticommute, cut_commute
 from paulicrit.graphs import CliqueResult, Graph, build_graph, chromatic_number
 from paulicrit.pauli import PauliString, cp_expand, format_pauli
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_bound_for_partition_three_qubit(sigma3):
@@ -194,6 +197,56 @@ def test_witness_check_refuses_a_non_clique_no_cut_witness(sigma3, monkeypatch):
     assert calls.count(True) == 1 and calls[-1]
 
 
+def test_report_refuses_a_row_its_carrier_does_not_reach(sigma3, monkeypatch):
+    # ex8's bipartitions filed under the finest partition, carried by the
+    # identity: the finest witness, one member, passes every cut check, so
+    # only the carrier proof stops bound 1 on A|BC, whose value is 2
+    finest = Partition.finest(3)
+    monkeypatch.setattr(
+        bounds_module,
+        "partition_orbits",
+        lambda parts, gens: {part: (finest, (0, 1, 2)) for part in parts},
+    )
+    with pytest.raises(RuntimeError, match=r"does not send A\|B\|C onto A\|BC"):
+        criteria_report(sigma3)
+    assert bound_for_partition(sigma3, parse_partition("A|BC", 3))[0] == 2
+
+
+def test_report_refuses_a_moved_row_its_carrier_does_not_reach(sigma3, monkeypatch):
+    # AC|B handed AB|C's carrier: a symmetry of ex8, so the moved witness
+    # stays in sigma, but it sends the representative A|BC onto AB|C
+    real = cuts_module.partition_orbits
+    ab_c, ac_b = parse_partition("AB|C", 3), parse_partition("AC|B", 3)
+
+    def swapped(parts, gens):
+        orbits = real(parts, gens)
+        assert orbits[ab_c][1] != (0, 1, 2)
+        orbits[ac_b] = orbits[ab_c]
+        return orbits
+
+    monkeypatch.setattr(bounds_module, "partition_orbits", swapped)
+    with pytest.raises(RuntimeError, match=r"does not send A\|BC onto AC\|B"):
+        criteria_report(sigma3)
+
+
+@pytest.mark.parametrize("name, checks", [("symmetric_6_seed0", 5), ("pad4", 9)])
+def test_each_orbit_witness_is_certified_once(name, checks, monkeypatch):
+    # one cut-clique check per orbit representative and one for the no-cut
+    # witness; every other row is proved by its carrier
+    real = bounds_module._verify_cut_clique
+    parts = []
+
+    def counted(members, part):
+        parts.append(part)
+        real(members, part)
+
+    monkeypatch.setattr(bounds_module, "_verify_cut_clique", counted)
+    report = criteria_report(OperatorSet.from_file(DATA / f"{name}.txt"))
+    assert len(parts) == checks
+    assert set(parts[:-1]) == {row.orbit for row in report.per_partition.values()}
+    assert parts[-1] == Partition.single_block(report.width)
+
+
 def _set_partition(rng, width):
     labels = [rng.randrange(rng.randrange(1, width + 1)) for _ in range(width)]
     blocks = {}
@@ -228,20 +281,18 @@ def _cut_clique(rng, part, size):
 
 
 def test_cut_clique_certificate_matches_the_cut_relation():
-    # the witness check raises exactly when some pair cut-anticommutes, on
-    # both of its forms: pair by pair while (members - 1) * blocks is at
-    # most 2 * width, block by block above that
+    # the witness check raises exactly when some pair cut-anticommutes
     rng = random.Random(22)
-    forms = set()
+    clashes = set()
     for width in range(1, 9):
         parts = {Partition.finest(width), Partition.single_block(width)}
         if width >= 2:
             parts.update(enumerate_bipartitions(width))
         parts.update(_set_partition(rng, width) for _ in range(8))
         for part in sorted(parts):
-            # the largest witness checked pair by pair
-            small = 1 + 2 * width // len(part.masks)
-            for size in (rng.randrange(2, small + 1), small + 1 + rng.randrange(width + 4)):
+            # a witness of a few members and a larger one
+            few = 2 + 2 * width // len(part.masks)
+            for size in (rng.randrange(2, few), few + rng.randrange(width + 4)):
                 members = _cut_clique(rng, part, size)
                 k = rng.randrange(size)
                 m = members[k]
@@ -259,23 +310,34 @@ def test_cut_clique_certificate_matches_the_cut_relation():
                         for i, a in enumerate(case)
                         for b in case[i + 1 :]
                     )
-                    forms.add((len(case) > small, clash))
+                    clashes.add(clash)
                     if clash:
                         with pytest.raises(RuntimeError, match="failed the cut relation check"):
                             bounds_module._verify_cut_clique(tuple(case), part)
                     else:
                         bounds_module._verify_cut_clique(tuple(case), part)
-    assert forms == {(False, False), (False, True), (True, False), (True, True)}
+    assert clashes == {False, True}
 
 
-def test_wide_ring_products_are_pruned_by_orbit():
+def test_wide_ring_products_are_pruned_by_orbit(monkeypatch):
     # the 39 products of 1-3 consecutive ring generators at width 13: the
-    # symmetry search runs past width 12, so 4096 rows fall into 190 orbits
+    # symmetry search runs past width 12, so 4096 rows fall into 190 orbits,
+    # whose witnesses the group's 26 elements move with one site map each
+    real = bounds_module.site_map
+    carriers = []
+
+    def counted(perm, width):
+        carriers.append(tuple(perm))
+        return real(perm, width)
+
+    monkeypatch.setattr(bounds_module, "site_map", counted)
     patterns = ["xz1111111111z", "yyz111111111z", "yxyz11111111z"]
     sigma = OperatorSet(m for text in patterns for m in cp_expand(parse_pauli(text)))
     assert len(sigma) == 39
     report = criteria_report(sigma)
     assert "symmetry group order 26; 4096 partitions in 190 orbits" in report.notes
+    assert 0 < len(carriers) <= 26
+    assert len(set(carriers)) == len(carriers)
     assert report.class_bounds == {"full_separability": 6, "any_bipartition": 33}
     rows = list(report.per_partition.items())
     for part, row in rows[::97] + rows[-3:]:
@@ -420,12 +482,12 @@ def test_criteria_report_notes_the_cap_that_tripped(sigma15, monkeypatch):
 
 
 def test_trivial_group_builds_no_partition_images(monkeypatch):
-    # pad4 has no symmetry but the identity, so no orbit search moves a
-    # partition, acts on block masks or builds a partition from masks
+    # pad4 has no symmetry but the identity, so no orbit search acts on
+    # block masks or builds a partition from masks
     def forbidden(*args):
         raise AssertionError("orbit search ran for a trivial group")
 
-    for name in ("permute_partition", "_block_action", "_from_masks"):
+    for name in ("_block_action", "_from_masks"):
         monkeypatch.setattr(cuts_module, name, forbidden)
     pad4 = OperatorSet.from_strings(
         ["xy11", "1x11", "xzy1", "1yx1", "yyz1", "xzz1", "xx11", "zxx1"]

@@ -25,10 +25,21 @@ from paulicrit import (
     symmetry_group,
 )
 import paulicrit.cuts as cuts_module
-from paulicrit.cuts import cut_commute, partition_orbits, permute_partition
+from paulicrit.cuts import cut_commute, partition_orbits
 from paulicrit.pauli import permute
 
 DATA = Path(__file__).parent / "data"
+
+
+def permute_partition(part, perm):
+    """Reference relabeling: site i of every block moves to perm[i]."""
+    if len(perm) != part.width:
+        raise ValueError(
+            f"permutation length {len(perm)} does not match width {part.width}"
+        )
+    return Partition(
+        part.width, tuple(tuple(perm[i] for i in block) for block in part.blocks)
+    )
 
 
 def test_partition_canonical_form():
