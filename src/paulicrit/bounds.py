@@ -18,10 +18,13 @@ instead: its clique number is reachable by a common eigenstate, and the
 chromatic number caps every state because each colour class is a
 pairwise anticommuting family contributing at most 1.
 ``criteria_report`` is the one route from a set to its rows and its
-class and no-cut bounds: one ``cut_graphs`` pass yields the graph of
-every orbit representative, one at a time, and ``build_graph`` the
-no-cut graph.  Each orbit's witness, and the no-cut one, is checked
-once, pair by pair on the members' bits, by ``_verify_cut_clique``,
+class and no-cut bounds.  When the orbit representatives outnumber the
+members, one ``cut_cliques`` walk over the plain graph's cliques finds
+every representative's clique number and witness; otherwise, or when
+that walk runs out of budget, one ``cut_graphs`` pass yields each
+representative's graph for its own ``max_clique``.  ``build_graph``
+gives the no-cut graph.  Each orbit's witness, and the no-cut one, is
+checked once, pair by pair on the members' bits, by ``_verify_cut_clique``,
 independently of the kernel.  Every other row is proved to be its
 representative's image under its carrier, a symmetry of the set:
 relabelling keeps every block parity, so the moved witness is a
@@ -48,6 +51,7 @@ from .graphs import (
     build_graph,
     check_clique_cap,
     chromatic_number,
+    cut_cliques,
     cut_graphs,
     max_clique,
 )
@@ -193,10 +197,17 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     orbits = partition_orbits(parts, gens)
     identity = tuple(range(width))
 
-    # one graph per orbit, from one pass of the cut kernel; first-met order;
-    # each orbit's witness is certified once, on its representative
-    reps = list(dict.fromkeys(orbits[part][0] for part in parts))
-    cliques = {rep: max_clique(g) for rep, g in zip(reps, cut_graphs(sigma, reps))}
+    # one clique per orbit, in first-met order.  With more orbits than
+    # members, one walk over the plain graph's cliques serves them all,
+    # unless it runs out of budget; else one pass of the cut kernel yields
+    # each orbit's graph for its own search.  Each orbit's witness is
+    # certified once, on its representative
+    placed = [orbits[part] for part in parts]
+    reps = list(dict.fromkeys(rep for rep, _ in placed))
+    results = cut_cliques(sigma, reps) if len(reps) > len(sigma) else None
+    if results is None:
+        results = map(max_clique, cut_graphs(sigma, reps))
+    cliques = dict(zip(reps, results))
     for rep, result in cliques.items():
         _verify_cut_clique(tuple(sigma.members[i] for i in result.witness), rep)
     # A row is proved to be its representative's image under its carrier:
@@ -211,8 +222,7 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     texts = sigma.texts()
     moves = {}
     per_partition: dict[Partition, PartitionBound] = {}
-    for part in parts:
-        rep, g = orbits[part]
+    for part, (rep, g) in zip(parts, placed):
         result = cliques[rep]
         found = result.witness
         image = rep.masks
@@ -230,13 +240,11 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
         witness = tuple(sorted(texts[i] for i in found))
         per_partition[part] = PartitionBound(result.size, witness, rep)
 
-    class_bounds: dict[str, int] = {
-        "full_separability": per_partition[finest].bound
-    }
+    # rows in the order of parts: the finest partition, then the others
+    values = [row.bound for row in per_partition.values()]
+    class_bounds: dict[str, int] = {"full_separability": values[0]}
     if bipartitions:
-        class_bounds["any_bipartition"] = max(
-            per_partition[p].bound for p in bipartitions
-        )
+        class_bounds["any_bipartition"] = max(values[-len(bipartitions) :])
 
     single = Partition.single_block(width)
     plain = build_graph(sigma, single, "commute")

@@ -70,9 +70,11 @@ from .pauli import OperatorSet, PauliString, site_map
 # listing 40 320 * 84 = 3 386 880 is admitted, while listing 9! * 108 =
 # 39 191 040 at width 9 and 12! * 198 at width 12 trips within milliseconds.
 SYMMETRY_WORK_BUDGET = 12_000_000
-# A report's time doubles per qubit.  On a 2-CPU VM, bounds on random sets
-# at width 16 took 2.8 s with 10 members and 34.5 s with 128 (the clique
-# cap); width 17 took 6.3 s with 10, so 128 members would pass 60 s there.
+# A report's row count doubles per qubit.  On a 2-CPU VM, bounds on random
+# sets at width 16 took 1.1 s with 10 members and 4.9-5.7 s with 128 (the
+# clique cap), through the one clique walk of graphs.cut_cliques.  A set
+# that trips the walk's budget pays a clique search per row instead: 35.2 s
+# on that 128-member set.
 BIPARTITION_CAP = 32_767
 
 T = TypeVar("T")
@@ -86,6 +88,8 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
     # one site bitmask per block, in block order
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # hash of the compared fields, taken once: reports look rows up often
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         width = self.width
@@ -109,6 +113,10 @@ class Partition:
             missing = [site for site in range(width) if not seen >> site & 1]
             raise ValueError(f"partition misses qubit indices {missing}")
         object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "_hash", hash((width, canon)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def finest(cls, width: int) -> "Partition":
@@ -422,15 +430,21 @@ def partition_orbits(
         if sorted(g) != list(range(len(g))):
             raise ValueError(f"{g} is not a permutation of 0..{len(g) - 1}")
     parts = list(parts)
-    for part in parts:
-        if widths - {part.width}:
-            raise ValueError(
-                f"partition width {part.width} does not match generator "
-                f"widths {sorted(widths)}"
-            )
+    if widths:
+        for part in parts:
+            if widths - {part.width}:
+                raise ValueError(
+                    f"partition width {part.width} does not match generator "
+                    f"widths {sorted(widths)}"
+                )
     moves = [(g, _block_action(g)) for g in gens if g != tuple(range(len(g)))]
     if not moves:
-        return {part: (part, tuple(range(part.width))) for part in parts}
+        # one identity shared by the partitions of the first one's width
+        same = tuple(range(parts[0].width)) if parts else ()
+        return {
+            part: (part, same if part.width == len(same) else tuple(range(part.width)))
+            for part in parts
+        }
     width = len(moves[0][0])
     identity = tuple(range(width))
     given = {part.masks: part for part in parts}

@@ -4,7 +4,8 @@ Vertices are the members of an operator set in their set order; edges
 record a pairwise cut relation.  Adjacency lives in one int bitmask per
 vertex, which keeps the branch-and-bound inner loops to a few word ops.
 ``_bits`` is the one walk over a row's set bits, lowest first: the edge
-list and the DSATUR neighbour colours both read rows through it.
+list, the DSATUR neighbour colours and ``cut_cliques`` read rows through
+it, the last by ``_long_bits`` when a row has thousands of bits.
 
 ``cut_graphs`` is the one cut-relation kernel: one call builds the graph
 of every given partition from transposed (per-site) member bitmasks, and
@@ -17,6 +18,15 @@ stack is already a square bit matrix that log2(side) delta swaps
 transpose.  This module imports no numpy, and neither do ``bounds`` and
 ``graph`` runs, which would otherwise spend more time importing numpy
 than building their graphs.
+
+``cut_cliques`` answers ``max_clique`` for many partitions without
+building their graphs.  Every cut graph is the plain graph less some
+pairs, so each plainly commuting pair carries one bit per partition, set
+where it cut-commutes, and one lexicographic walk over the plain graph's
+cliques serves every partition.  Its pair table costs O(n^2) once, where
+the kernel pays O(n) per partition before any search, and its work is
+budgeted per partition, so reports use it when the partitions outnumber
+the members and fall back to the kernel when it trips.
 
 ``max_clique`` and ``chromatic_number`` are exact and deterministic:
 runs on equal inputs return identical results, and every witness is
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Literal
 
 from .cuts import Partition
@@ -49,6 +60,12 @@ COLOR_VERTEX_CAP = 64
 # and 891 MB at 3000 (2-CPU VM); building the 2048-vertex graph is 0.12 s
 # and 19 MB of that, the rest is the edge list.
 GRAPH_VERTEX_CAP = 2048
+# Child tests ``cut_cliques`` may make per partition before it gives up.
+# Random width-10 sets of 40 members need 4.5-8 per row over 512 rows, and
+# a random width-16 set of 128 members 17.2 over 32 768.  The width-16 ring
+# products would need far more; tripping there costs 56-100 ms of a
+# 1.5-2.1 s report (2-CPU VM).
+CLIQUE_WALK_BUDGET = 32
 
 
 def _side(n: int) -> int:
@@ -63,6 +80,21 @@ def _bits(row: int) -> Iterator[int]:
         low = row & -row
         row ^= low
         yield low.bit_length() - 1
+
+
+# bytes of a binary text, '0' as a zero byte and '1' as a one byte
+_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _long_bits(row: int) -> Iterable[int]:
+    """``_bits`` for rows thousands of bits long.  Each step of ``_bits``
+    costs time linear in the row's length, so a row with many set bits is
+    read once from its binary text, in C, at a few tens of ns per bit of
+    length; a row with few keeps ``_bits``."""
+    if row.bit_count() <= 256:
+        return _bits(row)
+    text = bin(row)[:1:-1].encode().translate(_TEXT_BITS)
+    return compress(range(len(text)), text)
 
 
 def _stack(rows: Iterable[int], n: int) -> int:
@@ -410,6 +442,133 @@ def max_clique(g: Graph) -> CliqueResult:
         if (adj[v] | 1 << v) & wmask != wmask:
             raise RuntimeError("clique witness failed verification")
     return CliqueResult(size, tuple(witness))
+
+
+def cut_cliques(
+    sigma: OperatorSet, parts: Iterable[Partition]
+) -> list[CliqueResult] | None:
+    """``max_clique`` of each partition's cut-commutativity graph, in the
+    order given, from one walk over the plain graph's cliques; None when
+    the walk exceeds ``CLIQUE_WALK_BUDGET`` child tests per partition.
+
+    Every cut graph is the plain graph less the pairs whose overlap is odd
+    on some block.  A partition of b blocks takes the overlap parities of
+    its first b - 1 blocks as bits, since a plainly commuting pair has even
+    overlap overall, and one more bit when b > 2: adding 2**(b-1) - 1 to
+    the field carries into it exactly when some parity is odd.  So each
+    plainly commuting pair gets one int, the XOR of per-site masks over its
+    overlap's sites (the parity rule of ``cuts``), and one live bit per
+    partition, set where the pair cut-commutes.  ``_walk_cliques`` then
+    visits the plain graph's cliques in lexicographic order once for all
+    partitions.  The witnesses are not re-verified here: ``bounds``
+    certifies each one on the members' bits.
+    """
+    members = sigma.members
+    n = len(members)
+    check_clique_cap(n)
+    width = sigma.width
+    fields_at: list[int] = []  # the sites whose overlap parity bit p reads
+    carry = 0
+    at = []  # the live bit of each partition
+    for part in parts:
+        if part.width != width:
+            raise ValueError(
+                f"partition width {part.width} does not match operator width {width}"
+            )
+        fields = part.masks[:-1]
+        if len(fields) > 1:
+            carry |= ((1 << len(fields)) - 1) << len(fields_at)
+            fields_at += fields
+        at.append(len(fields_at))
+        fields_at.append(fields[0] if len(fields) == 1 else 0)
+    if not at:
+        return []
+    live = ((1 << len(fields_at)) - 1) ^ carry
+    # bit p of site k's row is set when bit p reads site k; built from text
+    site_rows = [
+        int(bytes(48 + (m >> k & 1) for m in reversed(fields_at)), 2)
+        for k in range(width)
+    ]
+
+    adj = [0] * n
+    pairs = [[0] * j for j in range(n)]  # [j][i], i < j: live bits of the pair
+    by_overlap: dict[int, int] = {}
+    for i, a in enumerate(members):
+        for j in range(i + 1, n):
+            b = members[j]
+            w = (a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)
+            if w.bit_count() & 1:
+                continue
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            rows = by_overlap.get(w)
+            if rows is None:
+                odd = 0
+                for k in _bits(w):
+                    odd ^= site_rows[k]
+                rows = by_overlap[w] = live & ~(odd + carry)
+            pairs[j][i] = rows
+
+    below = [-1] * (n + 1)
+    witness: list[tuple[int, ...]] = [()] * len(fields_at)
+    budget = CLIQUE_WALK_BUDGET * len(at)
+    if _walk_cliques(adj, pairs, (), (1 << n) - 1, live, below, witness, budget) < 0:
+        return None
+    return [CliqueResult(len(w), w) for w in map(witness.__getitem__, at)]
+
+
+def _walk_cliques(
+    adj: list[int],
+    pairs: list[list[int]],
+    path: tuple[int, ...],
+    cand: int,
+    live: int,
+    below: list[int],
+    witness: list[tuple[int, ...]],
+    work: int,
+) -> int:
+    """Pre-order walk, smallest vertex first, over the cliques that extend
+    ``path`` by vertices of ``cand``; returns the work left, negative when
+    the walk stopped on its budget.
+
+    ``live`` holds the live bits of the rows on which ``path`` is a
+    cut-clique, and ``below[s]`` those of the rows whose largest clique
+    recorded so far has fewer than s members (all bits set at first).  A
+    clique of size k is recorded, at the live bit in ``witness``, for
+    every live row still below k: cliques come in lexicographic order, so
+    it is that row's smallest k-clique.  A child keeps only the rows that
+    it could still raise, those below k + its candidates, and is skipped
+    when none is left; each child tested costs one unit of work.
+    """
+    size = len(path) + 1
+    while cand:
+        work -= 1
+        if work < 0:
+            return work
+        low = cand & -cand
+        cand ^= low
+        u = low.bit_length() - 1
+        rows = live
+        col = pairs[u]
+        for v in path:
+            rows &= col[v]
+        nxt = cand & adj[u]
+        rows &= below[size + nxt.bit_count()]
+        if not rows:
+            continue
+        clique = path + (u,)
+        new = rows & below[size]
+        if new:
+            keep = ~new
+            for s in range(1, size + 1):
+                below[s] &= keep
+            for bit in _long_bits(new):
+                witness[bit] = clique
+        if nxt:
+            work = _walk_cliques(adj, pairs, clique, nxt, rows, below, witness, work)
+            if work < 0:
+                return work
+    return work
 
 
 def independence_number(g: Graph) -> CliqueResult:

@@ -10,6 +10,7 @@ import pytest
 
 import paulicrit.bounds as bounds_module
 import paulicrit.cuts as cuts_module
+import paulicrit.graphs as graphs_module
 
 from paulicrit import (
     OperatorSet,
@@ -507,6 +508,12 @@ def test_searches_leave_no_reference_cycles(sigma15, monkeypatch):
         assert chromatic_number(five_cycle)[0] == 3  # probes k = 2 and fails
         # the symmetry search stopped by its work budget: the exception path
         monkeypatch.setattr(cuts_module, "SYMMETRY_WORK_BUDGET", 10)
+        criteria_report(sigma15)
+        # 16 rows over 15 members take the one clique walk; one child test
+        # per row stops it inside its recursion, and the rows fall back
+        monkeypatch.setattr(graphs_module, "CLIQUE_WALK_BUDGET", 1)
+        parts = [Partition.finest(5), *enumerate_bipartitions(5)]
+        assert graphs_module.cut_cliques(sigma15, parts) is None
         criteria_report(sigma15)
         gc.collect()
         leaked = sorted(

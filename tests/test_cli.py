@@ -649,6 +649,32 @@ def test_bounds_json_matches_golden_file(name, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_bounds_json_is_the_same_through_the_per_row_fallback(capsys, monkeypatch):
+    """The random set's 512 orbit rows outnumber its 40 members, so one
+    clique walk serves them; with its budget spent at once, each row gets
+    its own cut graph and search, and the output is the same bytes."""
+    import paulicrit.bounds as bounds_module
+    import paulicrit.graphs as graphs_module
+
+    real = bounds_module.max_clique
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(bounds_module, "max_clique", counted)
+    path = str(DATA / "random_10_40_seed0.txt")
+    assert main(["bounds", path, "--json"]) == 0
+    walked = capsys.readouterr().out
+    assert len(calls) == 1  # the no-cut graph only
+    monkeypatch.setattr(graphs_module, "CLIQUE_WALK_BUDGET", 0)
+    assert main(["bounds", path, "--json"]) == 0
+    assert len(calls) == 1 + 512 + 1
+    assert capsys.readouterr().out == walked
+    assert walked == (DATA / "random_10_40_seed0.bounds.json").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["ex8", "eq15", "pad4", "code5"])
 def test_verify_json_matches_golden_file(name, capsys):
     """``verify --json --restarts 8`` on the fixture sets: pad4 exits 1 on

@@ -6,6 +6,7 @@ random graphs small enough to enumerate.
 
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from paulicrit.graphs import (
     _stack,
     chromatic_number,
     complement,
+    cut_cliques,
     cut_graphs,
     export_dot,
 )
@@ -42,6 +44,7 @@ from paulicrit.pauli import PauliString
 
 # the width-4 set whose clique number is not an upper bound on ABC|D
 PAD4 = OperatorSet.from_strings("xy11 1x11 xzy1 1yx1 yyz1 xzz1 xx11 zxx1".split())
+DATA = Path(__file__).parent / "data"
 
 
 def brute_clique_number(g):
@@ -281,6 +284,77 @@ def test_cut_graphs_width_mismatch_raises_on_first_next(sigma3):
     graphs = cut_graphs(sigma3, [Partition.finest(4)])
     with pytest.raises(ValueError, match="partition width 4"):
         next(graphs)
+
+
+def _walk_rows(rng, width, bipartitions=None):
+    """The finest partition, the bipartitions (a sample of ``bipartitions``
+    of them when given), a few three-block partitions and the single block:
+    rows of width - 1, 1, 2 and 0 parity bits."""
+    halves = enumerate_bipartitions(width) if width >= 2 else []
+    if bipartitions is not None and len(halves) > bipartitions:
+        halves = rng.sample(halves, bipartitions)
+    thirds = []
+    for _ in range(4 if width >= 3 else 0):
+        sites = list(range(width))
+        rng.shuffle(sites)
+        cut, cut2 = sorted(rng.sample(range(1, width), 2))
+        blocks = (sites[:cut], sites[cut:cut2], sites[cut2:])
+        thirds.append(Partition(width, tuple(map(tuple, blocks))))
+    return [Partition.finest(width), *halves, *thirds, Partition.single_block(width)]
+
+
+def _assert_walk_equals_max_clique(sigma, parts):
+    results = cut_cliques(sigma, parts)
+    assert results is not None
+    assert len(results) == len(parts)
+    for part, g, got in zip(parts, cut_graphs(sigma, parts), results):
+        assert got == max_clique(g), str(part)
+
+
+def test_cut_cliques_equal_max_clique_on_random_sets(monkeypatch):
+    # size and witness, the lexicographically smallest maximum clique, of
+    # every row; the budget is raised so that every walk finishes
+    import paulicrit.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "CLIQUE_WALK_BUDGET", 10**9)
+    rng = random.Random(25)
+    for trial in range(90):
+        width = 2 + trial % 9
+        count = rng.randint(2, min(60, 4**width - 1))
+        sigma = _seeded_set(width, count, trial)
+        _assert_walk_equals_max_clique(sigma, _walk_rows(rng, width, 64))
+
+
+# ring6's plain graph is complete, and on its rows with clique numbers of
+# 14-29 the walk, bounded only by candidate counts, passes 200 000 child
+# tests per row; its case takes the rows where the walk ends
+RING6_ROWS = "A|B|C|D|E|F ABD|CEF ACD|BEF ADF|BCE AB|CD|EF AD|BE|CF AE|BC|DF ABCDEF"
+
+
+@pytest.mark.parametrize("name", ["code5", "eq15", "pad4", "ring6"])
+def test_cut_cliques_equal_max_clique_on_fixture_sets(name, monkeypatch):
+    import paulicrit.graphs as graphs_module
+
+    monkeypatch.setattr(graphs_module, "CLIQUE_WALK_BUDGET", 10**9)
+    sigma = OperatorSet.from_file(DATA / f"{name}.txt")
+    if name == "ring6":
+        parts = [parse_partition(text, 6) for text in RING6_ROWS.split()]
+    else:
+        parts = _walk_rows(random.Random(5), sigma.width)
+    _assert_walk_equals_max_clique(sigma, parts)
+
+
+def test_cut_cliques_stop_on_their_budget(monkeypatch):
+    import paulicrit.graphs as graphs_module
+
+    sigma = _seeded_set(6, 20, 3)
+    parts = _walk_rows(random.Random(3), 6)
+    assert cut_cliques(sigma, parts) is not None
+    assert cut_cliques(sigma, []) == []
+    monkeypatch.setattr(graphs_module, "CLIQUE_WALK_BUDGET", 0)
+    assert cut_cliques(sigma, parts) is None
+    with pytest.raises(ValueError, match="partition width 5"):
+        cut_cliques(sigma, [Partition.finest(5)])
 
 
 def test_build_graph_rejects_bad_relation(sigma3):
