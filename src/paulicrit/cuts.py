@@ -71,10 +71,12 @@ from .pauli import OperatorSet, PauliString, site_map
 # 39 191 040 at width 9 and 12! * 198 at width 12 trips within milliseconds.
 SYMMETRY_WORK_BUDGET = 12_000_000
 # A report's row count doubles per qubit.  On a 2-CPU VM, bounds on random
-# sets at width 16 took 1.1 s with 10 members and 4.9-5.7 s with 128 (the
+# sets at width 16 took 1.1 s with 10 members and 4.9-6.8 s with 128 (the
 # clique cap), through the one clique walk of graphs.cut_cliques.  A set
-# that trips the walk's budget pays a clique search per row instead: 35.2 s
-# on that 128-member set.
+# whose walk trips pays the trip, at most 32 child tests a row, and then a
+# clique search per row: 28-35 s on that 128-member set with the walk
+# skipped, 33 s with it tripping at 16 a row.  128 random weight-2 strings
+# trip after 4.9 s, and their per-row route passes 15 minutes.
 BIPARTITION_CAP = 32_767
 
 T = TypeVar("T")
@@ -430,21 +432,15 @@ def partition_orbits(
         if sorted(g) != list(range(len(g))):
             raise ValueError(f"{g} is not a permutation of 0..{len(g) - 1}")
     parts = list(parts)
-    if widths:
-        for part in parts:
-            if widths - {part.width}:
-                raise ValueError(
-                    f"partition width {part.width} does not match generator "
-                    f"widths {sorted(widths)}"
-                )
+    for part in parts:
+        if widths - {part.width}:
+            raise ValueError(
+                f"partition width {part.width} does not match generator "
+                f"widths {sorted(widths)}"
+            )
     moves = [(g, _block_action(g)) for g in gens if g != tuple(range(len(g)))]
     if not moves:
-        # one identity shared by the partitions of the first one's width
-        same = tuple(range(parts[0].width)) if parts else ()
-        return {
-            part: (part, same if part.width == len(same) else tuple(range(part.width)))
-            for part in parts
-        }
+        return {part: (part, tuple(range(part.width))) for part in parts}
     width = len(moves[0][0])
     identity = tuple(range(width))
     given = {part.masks: part for part in parts}

@@ -5,7 +5,7 @@ record a pairwise cut relation.  Adjacency lives in one int bitmask per
 vertex, which keeps the branch-and-bound inner loops to a few word ops.
 ``_bits`` is the one walk over a row's set bits, lowest first: the edge
 list, the DSATUR neighbour colours and ``cut_cliques`` read rows through
-it, the last by ``_long_bits`` when a row has thousands of bits.
+it.
 
 ``cut_graphs`` is the one cut-relation kernel: one call builds the graph
 of every given partition from transposed (per-site) member bitmasks, and
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Iterator, Literal
 
 from .cuts import Partition
@@ -62,9 +61,11 @@ COLOR_VERTEX_CAP = 64
 GRAPH_VERTEX_CAP = 2048
 # Child tests ``cut_cliques`` may make per partition before it gives up.
 # Random width-10 sets of 40 members need 4.5-8 per row over 512 rows, and
-# a random width-16 set of 128 members 17.2 over 32 768.  The width-16 ring
-# products would need far more; tripping there costs 56-100 ms of a
-# 1.5-2.1 s report (2-CPU VM).
+# random width-16 sets of 128 members 16.4-17.2 over 32 768.  Dense sets
+# need far more, and their trip is spent before the per-row route (2-CPU
+# VM): 56-100 ms of a 1.5-2.1 s report on the width-16 ring products (1162
+# rows); 1.5 s of 14.5-17.4 s on those products plus a member that leaves
+# the group trivial, and 4.9 s on 128 random weight-2 strings (32 768 rows).
 CLIQUE_WALK_BUDGET = 32
 
 
@@ -80,21 +81,6 @@ def _bits(row: int) -> Iterator[int]:
         low = row & -row
         row ^= low
         yield low.bit_length() - 1
-
-
-# bytes of a binary text, '0' as a zero byte and '1' as a one byte
-_TEXT_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _long_bits(row: int) -> Iterable[int]:
-    """``_bits`` for rows thousands of bits long.  Each step of ``_bits``
-    costs time linear in the row's length, so a row with many set bits is
-    read once from its binary text, in C, at a few tens of ns per bit of
-    length; a row with few keeps ``_bits``."""
-    if row.bit_count() <= 256:
-        return _bits(row)
-    text = bin(row)[:1:-1].encode().translate(_TEXT_BITS)
-    return compress(range(len(text)), text)
 
 
 def _stack(rows: Iterable[int], n: int) -> int:
@@ -562,7 +548,7 @@ def _walk_cliques(
             keep = ~new
             for s in range(1, size + 1):
                 below[s] &= keep
-            for bit in _long_bits(new):
+            for bit in _bits(new):
                 witness[bit] = clique
         if nxt:
             work = _walk_cliques(adj, pairs, clique, nxt, rows, below, witness, work)
