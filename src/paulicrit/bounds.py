@@ -26,7 +26,8 @@ representative's graph for its own ``max_clique``.  ``build_graph``
 gives the no-cut graph.  Each orbit's witness, and the no-cut one, is
 checked once, pair by pair on the members' bits, by ``_verify_cut_clique``,
 independently of the kernel.  Every other row is proved to be its
-representative's image under its carrier, a symmetry of the set:
+representative's image under its carrier, and each carrier is proved a
+symmetry of the set once, by mapping every member into the set:
 relabelling keeps every block parity, so the moved witness is a
 cut-clique of the row and the row's bound is its own clique number.
 ``verify`` checks the report's rows, taking each bound from its row.
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 
 from .cuts import (
     Partition,
-    _lowest_bit,
     enumerate_bipartitions,
+    move_masks,
     partition_orbits,
     symmetry_group,
 )
@@ -210,34 +211,39 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     cliques = dict(zip(reps, results))
     for rep, result in cliques.items():
         _verify_cut_clique(tuple(sigma.members[i] for i in result.witness), rep)
-    # A row is proved to be its representative's image under its carrier:
-    # the carrier's site map must send the representative's block masks
-    # onto the row's (both sorted by lowest site), and the witness's bit
-    # pairs, moved by table lookups, onto members of sigma.  Relabelling
-    # keeps every block parity, so the moved witness is a cut-clique of the
-    # row, and since the carrier is a symmetry of sigma, the row's bound is
-    # its own clique number.  No string is built and no pair re-checked;
-    # each carrier's site map is built once.
+    # A row is proved to be its representative's image under its carrier.
+    # Each distinct carrier is proved a symmetry of sigma once: every member
+    # moved by its site map must be a member, and a relabelling is
+    # injective, so the map is then a bijection of sigma.  The carrier must
+    # also send the representative's block masks onto the row's (both
+    # sorted by lowest site).  Relabelling keeps every block parity, so the
+    # witness moved by index is a cut-clique of the row, and the row's bound
+    # is its own clique number.  No string is built and no pair re-checked.
     index_of = {(m.x_bits, m.z_bits): i for i, m in enumerate(sigma.members)}
+    xs = [m.x_bits for m in sigma.members]
+    zs = [m.z_bits for m in sigma.members]
     texts = sigma.texts()
-    moves = {}
+    carriers = {}  # carrier -> (site map, text of each member's image)
     per_partition: dict[Partition, PartitionBound] = {}
     for part, (rep, g) in zip(parts, placed):
         result = cliques[rep]
-        found = result.witness
-        image = rep.masks
+        image, named = rep.masks, texts
         if g != identity:
-            move = moves.get(g)
-            if move is None:
-                move = moves[g] = site_map(g, width)
-            image = tuple(sorted(map(move, image), key=_lowest_bit))
-            members = [sigma.members[i] for i in found]
-            found = [index_of.get((move(m.x_bits), move(m.z_bits))) for m in members]
-            if None in found:
-                raise RuntimeError("permuted bound witness is not a member of sigma")
+            carrier = carriers.get(g)
+            if carrier is None:
+                move = site_map(g, width)
+                perm = list(map(index_of.get, zip(map(move, xs), map(move, zs))))
+                if None in perm:
+                    raise RuntimeError(
+                        f"orbit carrier {g} moves {texts[perm.index(None)]} "
+                        "to a string that is not a member of sigma"
+                    )
+                carrier = carriers[g] = (move, [texts[i] for i in perm])
+            move, named = carrier
+            image = move_masks(move, image)
         if image != part.masks:
             raise RuntimeError(f"orbit carrier does not send {rep} onto {part}")
-        witness = tuple(sorted(texts[i] for i in found))
+        witness = tuple(sorted(map(named.__getitem__, result.witness)))
         per_partition[part] = PartitionBound(result.size, witness, rep)
 
     # rows in the order of parts: the finest partition, then the others

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from math import prod
 from operator import add
@@ -73,10 +74,9 @@ SYMMETRY_WORK_BUDGET = 12_000_000
 # A report's row count doubles per qubit.  On a 2-CPU VM, bounds on random
 # sets at width 16 took 1.1 s with 10 members and 4.9-6.8 s with 128 (the
 # clique cap), through the one clique walk of graphs.cut_cliques.  A set
-# whose walk trips pays the trip, at most 32 child tests a row, and then a
-# clique search per row: 28-35 s on that 128-member set with the walk
-# skipped, 33 s with it tripping at 16 a row.  128 random weight-2 strings
-# trip after 4.9 s, and their per-row route passes 15 minutes.
+# whose walk trips pays a clique search per row instead: 128 random
+# weight-2 strings trip after 4.9 s, and their per-row route passes 15
+# minutes.
 BIPARTITION_CAP = 32_767
 
 T = TypeVar("T")
@@ -391,17 +391,19 @@ def _schreier_tree(
     return tree
 
 
+def move_masks(
+    move: Callable[[int], int], masks: tuple[int, ...]
+) -> tuple[int, ...]:
+    """A canonical block-mask tuple (``Partition.masks``, sorted by lowest
+    site) moved by a ``site_map``, sorted into canonical order again."""
+    return tuple(sorted(map(move, masks), key=_lowest_bit))
+
+
 def _block_action(
     perm: tuple[int, ...],
 ) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The relabeling's action on canonical block-mask tuples (the masks
-    of ``Partition.masks``, sorted by lowest site)."""
-    move = site_map(perm, len(perm))
-
-    def act(masks: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(sorted(map(move, masks), key=_lowest_bit))
-
-    return act
+    """The relabeling's action on canonical block-mask tuples."""
+    return partial(move_masks, site_map(perm, len(perm)))
 
 
 def _lowest_bit(mask: int) -> int:

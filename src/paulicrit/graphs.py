@@ -9,15 +9,14 @@ it.
 
 ``cut_graphs`` is the one cut-relation kernel: one call builds the graph
 of every given partition from transposed (per-site) member bitmasks, and
-``build_graph`` is its single-partition form.  ``Graph`` checks every
-graph it is given for range, self loops and symmetry; the kernel instead
-proves its per-site matrices symmetric once per call, which makes every
-graph it yields symmetric by construction.  That check, ``_asymmetry``,
-is pure int: ``_stack`` pads rows to a power-of-two bit width, so a
-stack is already a square bit matrix that log2(side) delta swaps
-transpose.  This module imports no numpy, and neither do ``bounds`` and
-``graph`` runs, which would otherwise spend more time importing numpy
-than building their graphs.
+``build_graph`` is its single-partition form.  Every graph, from the
+kernel, ``complement`` or an edge list, comes through ``Graph``'s one
+constructor, which checks its rows for range, self loops and symmetry.
+The symmetry check, ``_asymmetry``, is pure int: ``_stack`` pads rows to
+a power-of-two bit width, so the rows are already a square bit matrix
+that log2(side) delta swaps transpose.  This module imports no numpy,
+and neither do ``bounds`` and ``graph`` runs, which would otherwise spend
+more time importing numpy than building their graphs.
 
 ``cut_cliques`` answers ``max_clique`` for many partitions without
 building their graphs.  Every cut graph is the plain graph less some
@@ -56,16 +55,16 @@ CLIQUE_VERTEX_CAP = 128
 COLOR_VERTEX_CAP = 64
 # Exporting a graph costs time and memory quadratic in its vertex count.
 # As JSON on width-12 sets: 6.6 s and 430 MB peak at 2048 vertices, 14.4 s
-# and 891 MB at 3000 (2-CPU VM); building the 2048-vertex graph is 0.12 s
-# and 19 MB of that, the rest is the edge list.
+# and 891 MB at 3000 (2-CPU VM); building and checking the 2048-vertex
+# graph is 0.05 s and 19 MB of that, the rest is the edge list.
 GRAPH_VERTEX_CAP = 2048
 # Child tests ``cut_cliques`` may make per partition before it gives up.
 # Random width-10 sets of 40 members need 4.5-8 per row over 512 rows, and
 # random width-16 sets of 128 members 16.4-17.2 over 32 768.  Dense sets
 # need far more, and their trip is spent before the per-row route (2-CPU
-# VM): 56-100 ms of a 1.5-2.1 s report on the width-16 ring products (1162
-# rows); 1.5 s of 14.5-17.4 s on those products plus a member that leaves
-# the group trivial, and 4.9 s on 128 random weight-2 strings (32 768 rows).
+# VM): 56-100 ms on the width-16 ring products (1162 rows), 1.5 s on those
+# products plus a member that leaves the group trivial, and 4.9 s on 128
+# random weight-2 strings (32 768 rows).
 CLIQUE_WALK_BUDGET = 32
 
 
@@ -92,13 +91,13 @@ def _stack(rows: Iterable[int], n: int) -> int:
 
 
 @functools.lru_cache(maxsize=4)
-def _transpose_rounds(side: int) -> tuple[tuple[int, bytes], ...]:
+def _transpose_rounds(side: int) -> tuple[tuple[int, int], ...]:
     """(shift, mask) of each delta-swap round that transposes a
-    side-by-side bit matrix, the mask as bytes.  Round d exchanges bit
-    (i, j) with bit (i + d, j - d) wherever bit d of i is clear and bit d
-    of j is set, which swaps bit d of i with bit d of j; the rounds for
-    d = 1, 2, 4, ... < side together swap i with j.  The masks of one side
-    take log2(side) times the bytes of one matrix, 5.6 MB at side 2048."""
+    side-by-side bit matrix.  Round d exchanges bit (i, j) with bit
+    (i + d, j - d) wherever bit d of i is clear and bit d of j is set,
+    which swaps bit d of i with bit d of j; the rounds for d = 1, 2, 4, ...
+    < side together swap i with j.  The masks of one side take log2(side)
+    times the bytes of one matrix, 5.6 MB at side 2048."""
     stride = side // 8
     zero = bytes(stride)
     rounds = []
@@ -106,34 +105,27 @@ def _transpose_rounds(side: int) -> tuple[tuple[int, bytes], ...]:
     while d < side:
         row = sum(1 << j for j in range(side) if j & d).to_bytes(stride, "little")
         mask = b"".join(zero if i & d else row for i in range(side))
-        rounds.append((d * (side - 1), mask))
+        rounds.append((d * (side - 1), int.from_bytes(mask, "little")))
         d <<= 1
     return tuple(rounds)
 
 
-def _asymmetry(stacked: list[int], n: int) -> tuple[int, int, int] | None:
-    """First (matrix, i, j) in row-major order where a stacked n-by-n bit
-    matrix (``_stack`` layout, no bit at or past column n) differs from
-    its transpose, or None when all are symmetric.
+def _asymmetry(rows: Iterable[int], n: int) -> tuple[int, int] | None:
+    """First (i, j) in row-major order where an n-by-n bit matrix, given
+    by its rows with no bit at or past column n, differs from its
+    transpose, or None when it is symmetric.
 
-    Pure int: the matrices are laid end to end in one int and transposed
-    together by log2(side) delta swaps, so the check needs no numpy."""
+    Pure int: the rows are stacked (``_stack``) into one square bit matrix
+    and transposed by log2(side) delta swaps, so the check needs no numpy."""
     side = _side(n)
-    size = side * side // 8
-    bits = int.from_bytes(
-        b"".join(m.to_bytes(size, "little") for m in stacked), "little"
-    )
-    flipped = bits
+    bits = flipped = _stack(rows, n)
     for shift, mask in _transpose_rounds(side):
-        swap = (flipped ^ flipped >> shift) & int.from_bytes(
-            mask * len(stacked), "little"
-        )
+        swap = (flipped ^ flipped >> shift) & mask
         flipped ^= swap ^ swap << shift
     diff = bits ^ flipped
     if not diff:
         return None
-    matrix, at = divmod((diff & -diff).bit_length() - 1, side * side)
-    return (matrix, *divmod(at, side))
+    return divmod((diff & -diff).bit_length() - 1, side)
 
 
 @dataclass(frozen=True)
@@ -153,9 +145,9 @@ class Graph:
                 raise ValueError(f"adjacency row {i} references missing vertices")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self loop")
-        at = _asymmetry([_stack(self.adjacency, n)], n)
+        at = _asymmetry(self.adjacency, n)
         if at is not None:
-            raise ValueError(f"adjacency not symmetric at ({at[1]}, {at[2]})")
+            raise ValueError(f"adjacency not symmetric at {at}")
 
     @classmethod
     def from_edges(cls, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -205,15 +197,6 @@ class CliqueResult:
     witness: tuple[int, ...]
 
 
-def _symmetric_graph(labels: tuple[str, ...], adjacency: tuple[int, ...]) -> Graph:
-    """A Graph whose rows the caller has proved in range, loop-free and
-    symmetric; it skips ``Graph.__post_init__``."""
-    g = object.__new__(Graph)
-    object.__setattr__(g, "labels", labels)
-    object.__setattr__(g, "adjacency", adjacency)
-    return g
-
-
 def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph]:
     """Cut-commutativity graph of sigma for each partition, in the order given.
 
@@ -225,14 +208,10 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
     cut-anticommute row.  All members' rows are stacked into one int per
     site, ``stride`` bytes a row, so a partition costs one XOR per site
     and one OR per block.  Memory is width * n * n bits whatever the
-    number of partitions, since one graph is yielded at a time.
-
-    Each site matrix is proved symmetric once per call, before the first
-    graph: XOR and OR keep symmetry, and masking with ``others`` (every
-    other member in every row) clears the diagonal and every bit out of
-    range.  So the graphs are symmetric by construction and skip the
-    per-graph check of ``Graph``; a site matrix that fails its check
-    raises ``RuntimeError``.
+    number of partitions, since one graph is yielded at a time.  Masking
+    with ``others`` (every other member in every row) clears the diagonal.
+    Each graph is built by ``Graph``'s constructor, which checks the rows
+    it is given, so a kernel fault raises its ``ValueError``.
     """
     members = sigma.members
     n = len(members)
@@ -256,11 +235,6 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
         )
         for k in range(width)
     ]
-    bad = _asymmetry(odd_at, n)
-    if bad is not None:
-        raise RuntimeError(
-            f"site {bad[0]} overlap matrix not symmetric at ({bad[1]}, {bad[2]})"
-        )
     others = _stack((((1 << n) - 1) ^ (1 << i) for i in range(n)), n)
     labels = sigma.texts()
     for part in parts:
@@ -275,7 +249,7 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
                 odd ^= odd_at[k]
             anti |= odd
         raw = (others & ~anti).to_bytes(n * stride, "little")
-        yield _symmetric_graph(
+        yield Graph(
             labels,
             tuple(
                 int.from_bytes(raw[at : at + stride], "little")

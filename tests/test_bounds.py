@@ -230,6 +230,27 @@ def test_report_refuses_a_moved_row_its_carrier_does_not_reach(sigma3, monkeypat
         criteria_report(sigma3)
 
 
+def test_report_refuses_a_carrier_that_is_no_symmetry(monkeypatch):
+    # swapping sites 0 and 3 sends ABC|D onto A|BCD and ABC|D's witness into
+    # sigma, but moves 1x1y out of it; filed under that carrier, A|BCD would
+    # get bound 2, while its own clique number is 3
+    sigma = OperatorSet.from_strings("1x1y x1xz xz1x xzyx yy1z".split())
+    abc_d, a_bcd = parse_partition("ABC|D", 4), parse_partition("A|BCD", 4)
+    assert bound_for_partition(sigma, abc_d)[0] == 2
+    assert bound_for_partition(sigma, a_bcd)[0] == 3
+    real = cuts_module.partition_orbits
+
+    def misfiled(parts, gens):
+        orbits = real(parts, gens)
+        orbits[a_bcd] = (abc_d, (3, 1, 2, 0))
+        return orbits
+
+    monkeypatch.setattr(bounds_module, "partition_orbits", misfiled)
+    moved_out = r"\(3, 1, 2, 0\) moves 1x1y .* not a member of sigma"
+    with pytest.raises(RuntimeError, match=moved_out):
+        criteria_report(sigma)
+
+
 @pytest.mark.parametrize("name, checks", [("symmetric_6_seed0", 5), ("pad4", 9)])
 def test_each_orbit_witness_is_certified_once(name, checks, monkeypatch):
     # one cut-clique check per orbit representative and one for the no-cut

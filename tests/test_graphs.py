@@ -33,7 +33,6 @@ from paulicrit.graphs import (
     _asymmetry,
     _complements,
     _grow_clique,
-    _stack,
     chromatic_number,
     complement,
     cut_cliques,
@@ -203,14 +202,17 @@ def test_cut_graphs_match_pair_rule_every_partition():
         assert len(graphs) == len(parts)
         for part, g in zip(parts, graphs):
             _assert_pair_rule(sigma, part, g)
-            # the kernel's graphs skip Graph's checks; the constructor
-            # runs all three (range, self loop, symmetry) again
+            # kernel graphs come through Graph's constructor, so building
+            # one again from its rows passes the same checks
             assert Graph(g.labels, g.adjacency) == g
 
 
 def test_cut_graphs_refuse_an_asymmetric_site_matrix(monkeypatch):
     import paulicrit.graphs as graphs_module
 
+    sigma = _seeded_set(4, 8, 4)
+    single = Partition.single_block(4)
+    (clean,) = cut_graphs(sigma, [single])
     stack = graphs_module._stack
     calls = []
 
@@ -220,25 +222,35 @@ def test_cut_graphs_refuse_an_asymmetric_site_matrix(monkeypatch):
         # the first stacked matrix is site 0's: flip row 0, column 1
         return out ^ 0b10 if len(calls) == 1 else out
 
+    seen = []
+
+    class Recorded(Graph):
+        def __post_init__(self):
+            seen.append(self.adjacency)
+            super().__post_init__()
+
     monkeypatch.setattr(graphs_module, "_stack", corrupt)
-    sigma = _seeded_set(4, 8, 4)
-    graphs = cut_graphs(sigma, [Partition.finest(4)])
-    with pytest.raises(RuntimeError, match=r"site 0 .* not symmetric at \(0, 1\)"):
-        next(graphs)
+    monkeypatch.setattr(graphs_module, "Graph", Recorded)
+    # one block XORs every site, so the flip reaches the yielded graph's
+    # row 0 and not its row 1; Graph's own check refuses it
+    with pytest.raises(ValueError, match=r"adjacency not symmetric at \(0, 1\)"):
+        next(cut_graphs(sigma, [single]))
+    (rows,) = seen
+    assert rows[0] == clean.adjacency[0] ^ 0b10
+    assert rows[1:] == clean.adjacency[1:]
 
 
-def brute_asymmetry(matrices, n):
-    """First (matrix, i, j) in row-major order where a list of n-bit rows
+def brute_asymmetry(rows, n):
+    """First (i, j) in row-major order where a matrix of n-bit rows
     differs from its transpose, built bit by bit."""
-    for k, rows in enumerate(matrices):
-        transposed = [0] * n
-        for i, row in enumerate(rows):
-            for j in range(n):
-                transposed[j] |= (row >> j & 1) << i
-        for i in range(n):
-            diff = rows[i] ^ transposed[i]
-            if diff:
-                return k, i, (diff & -diff).bit_length() - 1
+    transposed = [0] * n
+    for i, row in enumerate(rows):
+        for j in range(n):
+            transposed[j] |= (row >> j & 1) << i
+    for i in range(n):
+        diff = rows[i] ^ transposed[i]
+        if diff:
+            return i, (diff & -diff).bit_length() - 1
     return None
 
 
@@ -246,22 +258,18 @@ def brute_asymmetry(matrices, n):
 def test_asymmetry_matches_a_brute_force_transpose(n):
     rng = random.Random(n)
     for trial in range(8):
-        matrices = []
-        for _ in range(rng.randint(1, 3)):
-            rows = [0] * n
-            for i in range(n):
-                for j in range(i, n):
-                    if rng.random() < 0.5:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            matrices.append(rows)
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.5:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
         # odd trials flip one bit; off the diagonal that breaks symmetry
         if trial % 2 and n:
-            rows = matrices[rng.randrange(len(matrices))]
             rows[rng.randrange(n)] ^= 1 << rng.randrange(n)
-        want = brute_asymmetry(matrices, n)
+        want = brute_asymmetry(rows, n)
         assert want is None or trial % 2
-        assert _asymmetry([_stack(rows, n) for rows in matrices], n) == want
+        assert _asymmetry(rows, n) == want
 
 
 def test_cut_graphs_match_pair_rule_wide():
