@@ -33,12 +33,19 @@ cut-clique of the row and the row's bound is its own clique number.
 ``verify`` checks the report's rows, taking each bound from its row.
 ``bound_for_partition`` serves a single partition, as the library's
 ``verify_bound`` does.
+
+``BoundReport.to_json`` is ``json.dumps(to_json_obj(), indent=2)``, byte
+for byte, and the tests hold it to that.  CPython skips its C encoder
+whenever ``indent`` is set, so a report of many rows cost more to print
+than to find; each row is written from one template instead, with its
+strings escaped by the escaper ``json.dumps`` uses.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from .cuts import (
     Partition,
@@ -60,6 +67,26 @@ from .pauli import OperatorSet, PauliString, site_map
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
 _CUT_CHECK_FAILED = "bound witness failed the cut relation check"
+# one row of "partitions" as json.dumps(..., indent=2) nests it in a report
+_ROW = """\
+    {
+      "partition": %s,
+      "orbit": %s,
+      "bound": %d,
+      "witness": %s
+    }"""
+_WITNESS = "[\n        %s\n      ]"
+_WITNESS_SEP = ",\n        "
+_NO_ROWS = '\n  "partitions": []'
+
+
+class _Quoted(dict):
+    """Each key's text as a JSON string literal, escaped the way
+    ``json.dumps`` escapes it by default, made once on first use."""
+
+    def __missing__(self, key) -> str:
+        quoted = self[key] = encode_basestring_ascii(str(key))
+        return quoted
 
 
 @dataclass(frozen=True)
@@ -107,7 +134,35 @@ class BoundReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
+        """``json.dumps(self.to_json_obj(), indent=2)``, byte for byte.
+
+        CPython skips its C encoder whenever ``indent`` is set, and the
+        partition rows are nearly all of a report, so each row is written
+        from one template instead.  Each distinct partition's text and each
+        member's escaped text is made once; orbit texts repeat across rows.
+        The head and the tail still come from ``json.dumps``."""
+        # every other field through json.dumps; a JSON string holds no raw
+        # newline, so the empty rows' line is found only as the report's key
+        text = json.dumps(replace(self, per_partition={}).to_json_obj(), indent=2)
+        if not self.per_partition:
+            return text
+        head, _, tail = text.partition(_NO_ROWS)
+        names, members = _Quoted(), _Quoted()
+        rows = ",\n".join(
+            [
+                _ROW
+                % (
+                    names[part],
+                    names[row.orbit],
+                    row.bound,
+                    _WITNESS % _WITNESS_SEP.join([members[m] for m in row.witness])
+                    if row.witness
+                    else "[]",
+                )
+                for part, row in self.per_partition.items()
+            ]
+        )
+        return '%s\n  "partitions": [\n%s\n  ]%s' % (head, rows, tail)
 
 
 @dataclass(frozen=True)

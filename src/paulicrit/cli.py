@@ -158,7 +158,7 @@ def cmd_graph(args) -> int:
         )
     graph = build_graph(sigma, part, args.relation)
     if args.json:
-        _write_output(json.dumps(graph.to_json_obj(), indent=2) + "\n", args.output)
+        _write_output(graph.to_json() + "\n", args.output)
     else:
         _write_output(export_dot(graph), args.output)
     return 0

@@ -58,6 +58,7 @@ from functools import partial
 from itertools import combinations
 from math import prod
 from operator import add
+from string import ascii_uppercase
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapExceeded, ParseError
@@ -78,6 +79,8 @@ SYMMETRY_WORK_BUDGET = 12_000_000
 # weight-2 strings trip after 4.9 s, and their per-row route passes 15
 # minutes.
 BIPARTITION_CAP = 32_767
+# block letters of the text form, A for site 0, up to width 26
+_LETTERS = tuple(ascii_uppercase)
 
 T = TypeVar("T")
 
@@ -137,9 +140,9 @@ class Partition:
     def __str__(self) -> str:
         if self.width <= 26:
             return "|".join(
-                "".join(chr(ord("A") + i) for i in block) for block in self.blocks
+                ["".join([_LETTERS[i] for i in block]) for block in self.blocks]
             )
-        return "|".join(",".join(str(i) for i in block) for block in self.blocks)
+        return "|".join([",".join(map(str, block)) for block in self.blocks])
 
 
 def _refuse_block(block: tuple[int, ...], width: int, seen: int) -> None:

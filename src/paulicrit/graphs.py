@@ -44,6 +44,7 @@ succeeds on that descent: the deepening never passes the greedy count.
 from __future__ import annotations
 
 import functools
+import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
@@ -54,9 +55,9 @@ from .pauli import OperatorSet
 CLIQUE_VERTEX_CAP = 128
 COLOR_VERTEX_CAP = 64
 # Exporting a graph costs time and memory quadratic in its vertex count.
-# As JSON on width-12 sets: 6.6 s and 430 MB peak at 2048 vertices, 14.4 s
-# and 891 MB at 3000 (2-CPU VM); building and checking the 2048-vertex
-# graph is 0.05 s and 19 MB of that, the rest is the edge list.
+# As JSON on width-12 sets: 1.1-1.9 s and 232 MB peak at 2048 vertices,
+# 2.7-2.9 s and 494 MB at 3000 (2-CPU VM); building and checking the
+# 2048-vertex graph is 0.05 s and 19 MB of that, the rest is the edge list.
 GRAPH_VERTEX_CAP = 2048
 # Child tests ``cut_cliques`` may make per partition before it gives up.
 # Random width-10 sets of 40 members need 4.5-8 per row over 512 rows, and
@@ -66,6 +67,8 @@ GRAPH_VERTEX_CAP = 2048
 # products plus a member that leaves the group trivial, and 4.9 s on 128
 # random weight-2 strings (32 768 rows).
 CLIQUE_WALK_BUDGET = 32
+# one edge of "edges" as json.dumps(..., indent=2) nests it in a graph
+_EDGE = "    [\n      %d,\n      %d\n    ]"
 
 
 def _side(n: int) -> int:
@@ -187,6 +190,17 @@ class Graph:
             "labels": list(self.labels),
             "edges": [[i, j] for i, j in self.edges()],
         }
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)``, byte for byte.
+
+        CPython skips its C encoder whenever ``indent`` is set, and the
+        edges are nearly all of a graph, so each ``[i, j]`` pair is written
+        from one template instead; the labels still go through
+        ``json.dumps``."""
+        head = json.dumps({"labels": list(self.labels)}, indent=2)[:-2]  # less "\n}"
+        edges = ",\n".join(map(_EDGE.__mod__, self.edges()))
+        return '%s,\n  "edges": %s\n}' % (head, "[\n%s\n  ]" % edges if edges else "[]")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Partition bounds, class bounds, reports, and classification."""
 
 import gc
+import json
 import random
 import types
 from pathlib import Path
@@ -27,6 +28,7 @@ from paulicrit import (
     parse_pauli,
     restrict,
 )
+from paulicrit.bounds import BoundReport, PartitionBound
 from paulicrit.cuts import cut_anticommute, cut_commute
 from paulicrit.graphs import CliqueResult, Graph, build_graph, chromatic_number
 from paulicrit.pauli import PauliString, cp_expand, format_pauli
@@ -394,6 +396,54 @@ def test_report_json_is_deterministic():
     first = criteria_report(OperatorSet.from_strings(texts)).to_json()
     second = criteria_report(OperatorSet.from_strings(texts)).to_json()
     assert first == second
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_report_json_is_json_dumps_of_its_object(width):
+    # seeded random sets; width 1 has one row and no any_bipartition
+    count = min(3 * width + 2, 4**width - 1)
+    sigma = OperatorSet.from_strings(
+        _random_texts(np.random.default_rng(width), width, count)
+    )
+    for quantum_upper in (False, True):
+        report = criteria_report(sigma, quantum_upper=quantum_upper)
+        assert report.to_json() == json.dumps(report.to_json_obj(), indent=2)
+
+
+def test_report_json_reuses_orbit_texts_and_carries_a_refused_search(monkeypatch):
+    # the symmetric width-6 set: 32 rows in 4 orbits, so orbit texts repeat
+    texts = (DATA / "symmetric_6_seed0.txt").read_text().split()
+    sigma = OperatorSet.from_strings(texts)
+    report = criteria_report(sigma)
+    assert len({row.orbit for row in report.per_partition.values()}) == 4
+    assert report.to_json() == json.dumps(report.to_json_obj(), indent=2)
+    # a refused symmetry search puts the identity-group note in the tail
+    monkeypatch.setattr(cuts_module, "SYMMETRY_WORK_BUDGET", 0)
+    refused = criteria_report(sigma)
+    assert any("identity group used" in note for note in refused.notes)
+    assert refused.to_json() == json.dumps(refused.to_json_obj(), indent=2)
+
+
+def test_report_json_escapes_like_json_dumps():
+    # texts the escaper must quote, an empty witness, and no rows at all
+    odd = ('q"1', "back\\slash", "tab\tnew\nline", "caf\u00e9 \u2264 \U0001d400")
+    finest, single = Partition.finest(2), Partition.single_block(2)
+    rows = {
+        finest: PartitionBound(4, odd, finest),
+        single: PartitionBound(0, (), finest),
+    }
+    for per_partition in (rows, {}):
+        report = BoundReport(
+            sigma=odd,
+            width=2,
+            per_partition=per_partition,
+            class_bounds={"full_separability": 4},
+            quantum_lower=1,
+            quantum_witness=odd[3:],
+            quantum_upper=None,
+            notes=('say "hi"',),
+        )
+        assert report.to_json() == json.dumps(report.to_json_obj(), indent=2)
 
 
 def test_report_json_shape(sigma3):

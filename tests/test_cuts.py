@@ -101,6 +101,21 @@ def test_parse_partition_indices():
     assert parse_partition("0|1|2", 3) == Partition.finest(3)
 
 
+def test_partition_text_parses_back_at_every_width():
+    # letters up to width 26, comma-separated indices above it
+    rng = random.Random(27)
+    for width in range(1, 41):
+        for _ in range(5):
+            labels = [rng.randrange(rng.randint(1, width)) for _ in range(width)]
+            blocks = {}
+            for site, label in enumerate(labels):
+                blocks.setdefault(label, []).append(site)
+            p = Partition(width, tuple(map(tuple, blocks.values())))
+            text = str(p)
+            assert text[0] == ("0" if width > 26 else "A")
+            assert parse_partition(text, width) == p
+
+
 def test_parse_partition_errors():
     with pytest.raises(ParseError):
         parse_partition("", 3)

@@ -5,6 +5,7 @@ random graphs small enough to enumerate.
 """
 
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -98,6 +99,21 @@ def test_graph_accessors():
     assert not g.has_edge(0, 2)
     assert g.degree(1) == 2
     assert g.to_json_obj() == {"labels": ["p", "q", "r"], "edges": [[0, 1], [1, 2]]}
+
+
+def test_graph_json_is_json_dumps_of_its_object():
+    sigma = _random_set(np.random.default_rng(27), 6, 40)
+    graphs = [
+        Graph.from_edges([], []),
+        Graph.from_edges(["p"], []),  # no edges: "edges": []
+        Graph.from_edges(['q"1', "back\\slash", "caf\u00e9"], [(0, 2)]),
+        build_graph(PAD4, parse_partition("ABC|D", 4), "commute"),
+    ]
+    for part in (Partition.finest(6), Partition.single_block(6)):
+        for relation in ("commute", "anticommute"):
+            graphs.append(build_graph(sigma, part, relation))
+    for g in graphs:
+        assert g.to_json() == json.dumps(g.to_json_obj(), indent=2)
 
 
 def test_build_graph_whole_set_anticommute(sigma3):
