@@ -44,6 +44,7 @@ strings escaped by the escaper ``json.dumps`` uses.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
@@ -351,6 +352,8 @@ def classify(q_value: float, report: BoundReport) -> Verdict:
     earns a warning to check the inputs; that value too is attained, not
     proven maximal.
     """
+    if not math.isfinite(q_value):
+        raise ValueError(f"criterion value must be finite, got {q_value}")
     if q_value < 0:
         raise ValueError(f"criterion value cannot be negative, got {q_value}")
     claims: list[Claim] = []

@@ -28,14 +28,14 @@ import sys
 from typing import Sequence
 
 from . import graphs
-from .bounds import classify, criteria_report
+from .bounds import bound_for_partition, classify, criteria_report
 from .cuts import Partition, parse_partition
 # no command calls these two or verify_bound below; bench/spans.py wraps
 # them by name here, so they stay until a change to the benchmark drops
 # them from its targets (CHANGES.md names this)
 from .cuts import orbit_representatives, symmetry_group  # noqa: F401
-from .errors import CapExceeded, ParseError
-from .graphs import build_graph, export_dot, max_clique
+from .errors import CapExceeded, ParseError, check_cap
+from .graphs import build_graph, export_dot
 from .pauli import OperatorSet, cp_expand, parse_pauli
 
 _NAMED_STATES = ("ghz", "w", "smolin", "basis")
@@ -151,11 +151,9 @@ def cmd_graph(args) -> int:
         if args.cut
         else Partition.single_block(sigma.width)
     )
-    if len(sigma) > graphs.GRAPH_VERTEX_CAP:
-        raise CapExceeded(
-            f"graph export on {len(sigma)} vertices exceeds cap "
-            f"{graphs.GRAPH_VERTEX_CAP}"
-        )
+    check_cap(
+        len(sigma), graphs.GRAPH_VERTEX_CAP, f"graph export on {len(sigma)} vertices"
+    )
     graph = build_graph(sigma, part, args.relation)
     if args.json:
         _write_output(graph.to_json() + "\n", args.output)
@@ -238,9 +236,7 @@ def cmd_generate(args) -> int:
     sigma = _load_sigma(args.clique_state)
     # the eigenstate's width cap is cheap; refuse before the clique search
     check_eigenstate_cap(sigma.width)
-    graph = build_graph(sigma, Partition.single_block(sigma.width), "commute")
-    clique = max_clique(graph)
-    ops = [sigma.members[i] for i in clique.witness]
+    _, ops = bound_for_partition(sigma, Partition.single_block(sigma.width))
     state = common_eigenstate(ops)
     _write_output(
         json.dumps(state_to_json_obj(state), indent=2) + "\n", args.output

@@ -225,6 +225,14 @@ def _bipartition_excess(width: int) -> str | None:
     return f"{shown} bipartitions of width {width} exceed cap {BIPARTITION_CAP}"
 
 
+def check_partition_width(part: Partition, width: int) -> None:
+    """Raise ``ValueError`` unless the partition is ``width`` qubits wide."""
+    if part.width != width:
+        raise ValueError(
+            f"partition width {part.width} does not match operator width {width}"
+        )
+
+
 def cut_anticommute(p: PauliString, q: PauliString, part: Partition) -> bool:
     """True when the restrictions anticommute on at least one block."""
     if p.width != q.width:

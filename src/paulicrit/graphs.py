@@ -48,8 +48,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from .cuts import Partition
-from .errors import CapExceeded
+from .cuts import Partition, check_partition_width
+from .errors import check_cap
 from .pauli import OperatorSet
 
 CLIQUE_VERTEX_CAP = 128
@@ -252,10 +252,7 @@ def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph
     others = _stack((((1 << n) - 1) ^ (1 << i) for i in range(n)), n)
     labels = sigma.texts()
     for part in parts:
-        if part.width != width:
-            raise ValueError(
-                f"partition width {part.width} does not match operator width {width}"
-            )
+        check_partition_width(part, width)
         anti = 0
         for block in part.blocks:
             odd = 0
@@ -358,10 +355,7 @@ def _grow_clique(
 
 def check_clique_cap(n: int) -> None:
     """Refuse a clique search on more than ``CLIQUE_VERTEX_CAP`` vertices."""
-    if n > CLIQUE_VERTEX_CAP:
-        raise CapExceeded(
-            f"clique search on {n} vertices exceeds cap {CLIQUE_VERTEX_CAP}"
-        )
+    check_cap(n, CLIQUE_VERTEX_CAP, f"clique search on {n} vertices")
 
 
 def max_clique(g: Graph) -> CliqueResult:
@@ -445,10 +439,7 @@ def cut_cliques(
     carry = 0
     at = []  # the live bit of each partition
     for part in parts:
-        if part.width != width:
-            raise ValueError(
-                f"partition width {part.width} does not match operator width {width}"
-            )
+        check_partition_width(part, width)
         fields = part.masks[:-1]
         if len(fields) > 1:
             carry |= ((1 << len(fields)) - 1) << len(fields_at)
@@ -594,10 +585,7 @@ def chromatic_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact chromatic number and one proper colouring: the first k from
     the clique number up whose ``_assign_colours`` probe succeeds."""
     n = g.vertex_count
-    if n > COLOR_VERTEX_CAP:
-        raise CapExceeded(
-            f"colouring search on {n} vertices exceeds cap {COLOR_VERTEX_CAP}"
-        )
+    check_cap(n, COLOR_VERTEX_CAP, f"colouring search on {n} vertices")
     if n == 0:
         return 0, ()
     adj = g.adjacency

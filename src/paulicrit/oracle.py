@@ -53,8 +53,8 @@ import numpy as np
 
 from . import states
 from .bounds import bound_for_partition
-from .cuts import Partition
-from .errors import CapExceeded
+from .cuts import Partition, check_partition_width
+from .errors import CapExceeded, check_cap
 from .pauli import OperatorSet
 from .states import (
     QuantumState,
@@ -114,11 +114,9 @@ def check_work_budget(
     summed 2^|block| over ``parts`` exceeds ``ORACLE_WORK_BUDGET``.  The
     width is read first, so with no parts the check is the width cap
     alone."""
-    if sigma.width > states.PURE_QUBIT_CAP:
-        raise CapExceeded(
-            f"product search on width {sigma.width} exceeds cap "
-            f"{states.PURE_QUBIT_CAP}"
-        )
+    check_cap(
+        sigma.width, states.PURE_QUBIT_CAP, f"product search on width {sigma.width}"
+    )
     dims = sum(sum(1 << len(block) for block in part.blocks) for part in parts)
     work = config.restarts * len(sigma) * dims
     if work > ORACLE_WORK_BUDGET:
@@ -399,10 +397,7 @@ def maximize_q_product(
     """
     if config is None:
         config = OracleConfig()
-    if sigma.width != part.width:
-        raise ValueError(
-            f"partition width {part.width} does not match operator width {sigma.width}"
-        )
+    check_partition_width(part, sigma.width)
     check_work_budget(sigma, [part], config)
 
     blocks = part.blocks

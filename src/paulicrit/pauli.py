@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import CapExceeded, ParseError
+from .errors import ParseError, check_cap
 
 if TYPE_CHECKING:
     import numpy as np
@@ -174,10 +174,7 @@ def to_matrix(p: PauliString) -> np.ndarray:
     and the bit-level modules built on this one never load it."""
     import numpy as np
 
-    if p.width > MATRIX_QUBIT_CAP:
-        raise CapExceeded(
-            f"dense matrix for width {p.width} exceeds cap {MATRIX_QUBIT_CAP}"
-        )
+    check_cap(p.width, MATRIX_QUBIT_CAP, f"dense matrix for width {p.width}")
     site_matrices = {
         "1": np.eye(2, dtype=complex),
         "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .cuts import Partition
-from .errors import CapExceeded
+from .errors import check_cap
 from .pauli import OperatorSet, PauliString, anticommutes, format_pauli, to_matrix
 
 PURE_QUBIT_CAP = 12
@@ -57,6 +57,8 @@ class QuantumState:
         width = dim.bit_length() - 1
         if dim < 2 or dim != 1 << width:
             raise ValueError(f"amplitude count {dim} is not a power of two >= 2")
+        if not np.isfinite(vec).all():
+            raise ValueError("state vector has a non-finite amplitude")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state vector norm {norm} is not 1")
@@ -73,6 +75,8 @@ class QuantumState:
         width = dim.bit_length() - 1
         if dim < 2 or dim != 1 << width:
             raise ValueError(f"dimension {dim} is not a power of two >= 2")
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(rho - rho.conj().T)) > _NORM_TOL:
             raise ValueError("density matrix is not Hermitian")
         trace = complex(np.trace(rho))
@@ -177,8 +181,7 @@ def _check_expectation(state: QuantumState, width: int) -> None:
             f"state width {state.width} does not match operator width {width}"
         )
     cap = PURE_QUBIT_CAP if state.is_pure else MIXED_QUBIT_CAP
-    if state.width > cap:
-        raise CapExceeded(f"expectation on width {state.width} exceeds cap {cap}")
+    check_cap(state.width, cap, f"expectation on width {state.width}")
 
 
 def _traces(state: QuantumState, members: Sequence[PauliString]) -> Iterator[float]:
@@ -233,8 +236,13 @@ def evaluate_q(state: QuantumState, sigma: OperatorSet) -> QValue:
 
 def named_state(name: str, width: int, detail: str | None = None) -> QuantumState:
     """Reference states: ghz, w, smolin, and computational basis states;
-    a pure one wider than ``PURE_QUBIT_CAP`` is refused before allocation."""
+    a pure one wider than ``PURE_QUBIT_CAP`` is refused before allocation.
+    Only ``basis`` takes a detail, its bitstring; the others refuse one."""
     name = name.lower()
+    if name not in ("ghz", "w", "smolin", "basis"):
+        raise ValueError(f"unknown state name {name!r}")
+    if detail is not None and name != "basis":
+        raise ValueError(f"{name} state takes no detail, got {detail!r}")
     if name == "smolin":
         if width != 4:
             raise ValueError("smolin is a 4 qubit state")
@@ -252,12 +260,7 @@ def named_state(name: str, width: int, detail: str | None = None) -> QuantumStat
             psi = np.kron(bell, bell)
             rho += 0.25 * np.outer(psi, psi.conj())
         return QuantumState.mixed(rho)
-    if name not in ("ghz", "w", "basis"):
-        raise ValueError(f"unknown state name {name!r}")
-    if width > PURE_QUBIT_CAP:
-        raise CapExceeded(
-            f"{name} state on width {width} exceeds cap {PURE_QUBIT_CAP}"
-        )
+    check_cap(width, PURE_QUBIT_CAP, f"{name} state on width {width}")
     if name == "basis":
         if detail is None:
             raise ValueError("basis state needs a bitstring, e.g. basis:0101")
@@ -296,10 +299,7 @@ def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumStat
 
 def check_eigenstate_cap(width: int) -> None:
     """Refuse an eigenstate search on more than ``EIGENSTATE_QUBIT_CAP`` qubits."""
-    if width > EIGENSTATE_QUBIT_CAP:
-        raise CapExceeded(
-            f"eigenstate search on width {width} exceeds cap {EIGENSTATE_QUBIT_CAP}"
-        )
+    check_cap(width, EIGENSTATE_QUBIT_CAP, f"eigenstate search on width {width}")
 
 
 def _family(ops: Iterable[PauliString], anticommuting: bool) -> list[PauliString]:
@@ -383,10 +383,7 @@ def haar_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_product_state(part: Partition, seed) -> QuantumState:
     """Haar-random pure state in each block, tensored along the partition."""
-    if part.width > PURE_QUBIT_CAP:
-        raise CapExceeded(
-            f"product state on width {part.width} exceeds cap {PURE_QUBIT_CAP}"
-        )
+    check_cap(part.width, PURE_QUBIT_CAP, f"product state on width {part.width}")
     rng = np.random.default_rng(seed)
     return assemble_product(part, [haar_unit(rng, 1 << len(b)) for b in part.blocks])
 
@@ -448,8 +445,7 @@ def state_from_json_obj(obj: dict) -> QuantumState:
     if kind not in ("pure", "mixed"):
         raise ValueError(f"unknown state kind {kind!r}")
     cap = PURE_QUBIT_CAP if kind == "pure" else MIXED_QUBIT_CAP
-    if width > cap:
-        raise CapExceeded(f"{kind} state of width {width} exceeds cap {cap}")
+    check_cap(width, cap, f"{kind} state of width {width}")
     dim = 1 << width
     if kind == "pure":
         pairs = obj.get("amplitudes")

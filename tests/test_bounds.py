@@ -535,6 +535,12 @@ def test_classify_rejects_negative(sigma3):
         classify(-0.1, criteria_report(sigma3))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_classify_rejects_a_non_finite_value(value, sigma3):
+    with pytest.raises(ValueError, match="must be finite"):
+        classify(value, criteria_report(sigma3))
+
+
 def test_verdict_json(sigma3):
     verdict = classify(2.5, criteria_report(sigma3))
     obj = verdict.to_json_obj()

@@ -7,6 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paulicrit import (
+    CapExceeded,
+    Partition,
+    QuantumState,
+    expectation,
+    named_state,
+    parse_pauli,
+    random_product_state,
+    to_matrix,
+)
 from paulicrit.cli import main
 from paulicrit.states import load_state
 
@@ -339,6 +349,14 @@ def test_eval_state_width_mismatch(sigma15_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["ghz", "w", "smolin"])
+def test_eval_refuses_a_detail_on_a_named_state_that_takes_none(name, tmp_path, capsys):
+    sigma = tmp_path / "width4.txt"
+    sigma.write_text("xxxx\nzzzz\n")
+    assert main(["eval", str(sigma), "--state", f"{name}:junk"]) == 2
+    assert capsys.readouterr() == ("", f"error: {name} state takes no detail, got 'junk'\n")
+
+
 def test_eval_refuses_a_named_state_over_the_cap_before_allocating(tmp_path, capsys):
     # 2**40 amplitudes would take 16 TiB
     sigma = tmp_path / "width40.txt"
@@ -604,7 +622,7 @@ def test_generate_clique_state_checks_width_before_clique_search(
     def forbidden(*args, **kwargs):
         raise AssertionError("clique search ran past the eigenstate width cap")
 
-    monkeypatch.setattr(cli_module, "max_clique", forbidden)
+    monkeypatch.setattr(cli_module, "bound_for_partition", forbidden)
     path = tmp_path / "wide.txt"
     path.write_text("z" * 11 + "\n" + "x" * 11 + "\n")
     out = tmp_path / "state.json"
@@ -794,3 +812,74 @@ def test_main_leaves_no_argparse_objects_in_cycles(capsys):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert leaked == []
+
+
+# every refusal that goes through errors.check_cap, with its exact message:
+# (module, cap name, patched cap, command line or call, message).  A cap is
+# patched low where the real one is costly to reach.  In a command line,
+# SET is ex8, SET65 65 distinct strings of width 6, and the .json names are
+# width-3 state files
+_CAP_REFUSALS = {
+    "clique": ("graphs", "CLIQUE_VERTEX_CAP", 7, ["bounds", "SET"],
+               "clique search on 8 vertices exceeds cap 7"),
+    "colouring": (None, None, None, ["bounds", "SET65", "--quantum-upper"],
+                  "colouring search on 65 vertices exceeds cap 64"),
+    "graph-export": ("graphs", "GRAPH_VERTEX_CAP", 3, ["graph", "SET"],
+                     "graph export on 8 vertices exceeds cap 3"),
+    "product-search": ("states", "PURE_QUBIT_CAP", 2, ["verify", "SET"],
+                       "product search on width 3 exceeds cap 2"),
+    "eigenstate": ("states", "EIGENSTATE_QUBIT_CAP", 2,
+                   ["generate", "--clique-state", "SET"],
+                   "eigenstate search on width 3 exceeds cap 2"),
+    "named-state": ("states", "PURE_QUBIT_CAP", 2, ["eval", "SET", "--state", "w"],
+                    "w state on width 3 exceeds cap 2"),
+    "pure-file": ("states", "PURE_QUBIT_CAP", 2,
+                  ["eval", "SET", "--state", "pure3.json"],
+                  "pure state of width 3 exceeds cap 2"),
+    "mixed-file": ("states", "MIXED_QUBIT_CAP", 2,
+                   ["eval", "SET", "--state", "mixed3.json"],
+                   "mixed state of width 3 exceeds cap 2"),
+    "expectation": ("states", "MIXED_QUBIT_CAP", 2,
+                    lambda: expectation(QuantumState.mixed(np.eye(8) / 8.0),
+                                        parse_pauli("zzz")),
+                    "expectation on width 3 exceeds cap 2"),
+    "dense-matrix": (None, None, None, lambda: to_matrix(parse_pauli("x" * 7)),
+                     "dense matrix for width 7 exceeds cap 6"),
+    "product-state": (None, None, None,
+                      lambda: random_product_state(Partition.finest(13), 0),
+                      "product state on width 13 exceeds cap 12"),
+}
+
+
+@pytest.mark.parametrize(
+    "module, cap_name, cap, call, message",
+    list(_CAP_REFUSALS.values()),
+    ids=list(_CAP_REFUSALS),
+)
+def test_every_cap_refusal_names_its_size_and_cap(
+    module, cap_name, cap, call, message, tmp_path, capsys, monkeypatch
+):
+    import importlib
+
+    from paulicrit.states import save_state
+
+    files = {name: str(tmp_path / name) for name in ("SET65", "pure3.json", "mixed3.json")}
+    files["SET"] = str(DATA / "ex8.txt")
+    letters = "1xyz"
+    Path(files["SET65"]).write_text(
+        "".join(
+            "".join(letters[k >> 2 * i & 3] for i in range(6)) + "\n"
+            for k in range(1, 66)
+        )
+    )
+    save_state(named_state("ghz", 3), files["pure3.json"])
+    save_state(QuantumState.mixed(np.eye(8) / 8.0), files["mixed3.json"])
+    if module is not None:
+        monkeypatch.setattr(importlib.import_module(f"paulicrit.{module}"), cap_name, cap)
+    if callable(call):
+        with pytest.raises(CapExceeded) as info:
+            call()
+        assert str(info.value) == message
+    else:
+        assert main([files.get(arg, arg) for arg in call]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -73,6 +73,22 @@ def test_mixed_validation():
     assert state.width == 2 and not state.is_pure
 
 
+@pytest.mark.parametrize(
+    "make, entries, message",
+    [
+        (QuantumState.pure, [float("nan"), 0.0], "non-finite amplitude"),
+        (QuantumState.mixed, [[0.5, float("inf")], [float("inf"), 0.5]],
+         "non-finite entry"),
+    ],
+    ids=["pure-nan", "mixed-inf"],
+)
+def test_states_refuse_non_finite_entries(make, entries, message):
+    # every comparison with NaN is false, so the norm, Hermitian and trace
+    # checks alone let these through
+    with pytest.raises(ValueError, match=message):
+        make(entries)
+
+
 def test_state_data_is_read_only():
     state = named_state("ghz", 2)
     with pytest.raises(ValueError):
@@ -269,6 +285,10 @@ def test_named_state_errors(monkeypatch):
         named_state("basis", 3, None)
     with pytest.raises(ValueError):
         named_state("cluster", 4)
+    # only basis states take a detail
+    for name, width in (("ghz", 3), ("w", 3), ("smolin", 4)):
+        with pytest.raises(ValueError, match=f"{name} state takes no detail"):
+            named_state(name, width, "junk")
     # pure states are refused over the cap, read at call time, before the
     # amplitudes are allocated
     monkeypatch.setattr(states_module, "PURE_QUBIT_CAP", 2)
