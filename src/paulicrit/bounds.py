@@ -22,10 +22,12 @@ class and no-cut bounds.  When the orbit representatives outnumber the
 members, one ``cut_cliques`` walk over the plain graph's cliques finds
 every representative's clique number and witness; otherwise, or when
 that walk runs out of budget, one ``cut_graphs`` pass yields each
-representative's graph for its own ``max_clique``.  ``build_graph``
-gives the no-cut graph.  Each orbit's witness, and the no-cut one, is
-checked once, pair by pair on the members' bits, by ``_verify_cut_clique``,
-independently of the kernel.  Every other row is proved to be its
+representative's graph for its own ``max_clique``.  The no-cut clique
+comes from ``bound_for_partition`` on the single-block partition.  Each
+orbit's witness, and the no-cut one, is checked once, pair by pair on the
+members' bits, by ``cuts.is_cut_clique``, independently of the kernel;
+the plain graph is built again only for ``chromatic_number`` under
+``quantum_upper``.  Every other row is proved to be its
 representative's image under its carrier, and each carrier is proved a
 symmetry of the set once, by mapping every member into the set:
 relabelling keeps every block parity, so the moved witness is a
@@ -51,6 +53,7 @@ from json.encoder import encode_basestring_ascii
 from .cuts import (
     Partition,
     enumerate_bipartitions,
+    is_cut_clique,
     move_masks,
     partition_orbits,
     symmetry_group,
@@ -64,7 +67,7 @@ from .graphs import (
     cut_graphs,
     max_clique,
 )
-from .pauli import OperatorSet, PauliString, site_map
+from .pauli import OperatorSet, PauliString, format_pauli, site_map
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
 _CUT_CHECK_FAILED = "bound witness failed the cut relation check"
@@ -192,30 +195,6 @@ class Verdict:
         }
 
 
-def _verify_cut_clique(
-    members: tuple[PauliString, ...], part: Partition
-) -> None:
-    """Raise unless the members pairwise cut-commute, by the parity rule of
-    ``cuts``: a pair cut-anticommutes when its symplectic overlap has odd
-    weight on some block.  Checked pair by pair on the members' bits, not
-    by the cut kernel; a pair with no overlap passes at once."""
-    width = part.width
-    for m in members:
-        if m.width != width:
-            raise ValueError(
-                f"partition width {width} does not match operators "
-                f"of width {m.width}"
-            )
-    masks = part.masks
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            w = (a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)
-            if w:
-                for mask in masks:
-                    if (w & mask).bit_count() & 1:
-                        raise RuntimeError(_CUT_CHECK_FAILED)
-
-
 def bound_for_partition(
     sigma: OperatorSet, part: Partition
 ) -> tuple[int, tuple[PauliString, ...]]:
@@ -228,7 +207,8 @@ def bound_for_partition(
     g = build_graph(sigma, part, "commute")
     result = max_clique(g)
     witness = tuple(sigma.members[i] for i in result.witness)
-    _verify_cut_clique(witness, part)
+    if not is_cut_clique(witness, part):
+        raise RuntimeError(_CUT_CHECK_FAILED)
     return result.size, witness
 
 
@@ -266,7 +246,8 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
         results = map(max_clique, cut_graphs(sigma, reps))
     cliques = dict(zip(reps, results))
     for rep, result in cliques.items():
-        _verify_cut_clique(tuple(sigma.members[i] for i in result.witness), rep)
+        if not is_cut_clique([sigma.members[i] for i in result.witness], rep):
+            raise RuntimeError(_CUT_CHECK_FAILED)
     # A row is proved to be its representative's image under its carrier.
     # Each distinct carrier is proved a symmetry of sigma once: every member
     # moved by its site map must be a member, and a relabelling is
@@ -309,11 +290,10 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
         class_bounds["any_bipartition"] = max(values[-len(bipartitions) :])
 
     single = Partition.single_block(width)
-    plain = build_graph(sigma, single, "commute")
-    clique = max_clique(plain)
-    # the no-cut witness passes the same check as every row's
-    _verify_cut_clique(tuple(sigma.members[i] for i in clique.witness), single)
-    upper = chromatic_number(plain)[0] if quantum_upper else None
+    lower, plain_witness = bound_for_partition(sigma, single)
+    upper = None
+    if quantum_upper:
+        upper = chromatic_number(build_graph(sigma, single, "commute"))[0]
 
     notes.append(
         f"symmetry group order {order}; "
@@ -333,8 +313,8 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
         width=width,
         per_partition=per_partition,
         class_bounds=class_bounds,
-        quantum_lower=clique.size,
-        quantum_witness=tuple(plain.labels[i] for i in clique.witness),
+        quantum_lower=lower,
+        quantum_witness=tuple(map(format_pauli, plain_witness)),
         quantum_upper=upper,
         notes=tuple(notes),
     )

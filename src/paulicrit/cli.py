@@ -68,11 +68,12 @@ def _load_sigma(path: str) -> OperatorSet:
 
 
 def _resolve_state(spec: str, width: int):
-    name, _, detail = spec.partition(":")
+    name, colon, detail = spec.partition(":")
     if name.lower() in _NAMED_STATES:
         from .states import named_state
 
-        return named_state(name, width, detail or None)
+        # "ghz:" has an empty detail, which named_state refuses
+        return named_state(name, width, detail if colon else None)
     try:
         return load_state(spec)
     except OSError as exc:

@@ -9,11 +9,16 @@ The restrictions are never built.  With the site-wise symplectic overlap
 w = (p.x & q.z) ^ (p.z & q.x), the restrictions to a block anticommute
 exactly when popcount(w & block_mask) is odd, so each partition carries
 its block bitmasks (``Partition.masks``) and the cut test is one parity
-per block.  ``graphs.cut_graphs`` applies the same parity rule to all
-pairs at once, on per-site bitmasks of the members.  ``pauli.restrict``
-builds a restriction as an operator.  The program builds none: the
-oracle reads its block actions from ``states.gather_table``.  The tests
-compare this rule against ``restrict``.
+per block.  ``is_cut_clique`` is the per-pair home of this parity rule:
+``cut_anticommute`` calls it on one pair, ``cut_commute`` is the
+negation of that, and the bounds certify every witness with it.  Its two
+batch forms are ``graphs.cut_graphs``, which applies the rule to all
+pairs at once on per-site bitmasks of the members, and
+``graphs.cut_cliques``, whose walk reads it from a table of pair
+overlaps.  ``pauli.restrict`` builds a restriction as an operator.  The
+program builds none: the oracle reads its block actions from
+``states.gather_table``.  The tests compare this rule against
+``restrict``.
 
 The symmetry group of a set is found by a stabilizer-chain search (Sims'
 method), capped in search work (``SYMMETRY_WORK_BUDGET``) and refused
@@ -233,16 +238,28 @@ def check_partition_width(part: Partition, width: int) -> None:
         )
 
 
+def is_cut_clique(members: Sequence[PauliString], part: Partition) -> bool:
+    """True when the members pairwise cut-commute.  Checked pair by pair on
+    the members' bits by the parity rule above; a pair with no symplectic
+    overlap passes at once.  Every printed witness passes this test."""
+    for m in members:
+        check_partition_width(part, m.width)
+    masks = part.masks
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            w = (a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)
+            if w:
+                for mask in masks:
+                    if (w & mask).bit_count() & 1:
+                        return False
+    return True
+
+
 def cut_anticommute(p: PauliString, q: PauliString, part: Partition) -> bool:
     """True when the restrictions anticommute on at least one block."""
     if p.width != q.width:
         raise ValueError(f"width mismatch: {p.width} vs {q.width}")
-    if p.width != part.width:
-        raise ValueError(
-            f"partition width {part.width} does not match operators of width {p.width}"
-        )
-    w = (p.x_bits & q.z_bits) ^ (p.z_bits & q.x_bits)
-    return any((w & mask).bit_count() & 1 for mask in part.masks)
+    return not is_cut_clique((p, q), part)
 
 
 def cut_commute(p: PauliString, q: PauliString, part: Partition) -> bool:
@@ -441,9 +458,6 @@ def partition_orbits(
     """
     gens = [tuple(g) for g in gens]
     widths = {len(g) for g in gens}
-    for g in gens:
-        if sorted(g) != list(range(len(g))):
-            raise ValueError(f"{g} is not a permutation of 0..{len(g) - 1}")
     parts = list(parts)
     for part in parts:
         if widths - {part.width}:

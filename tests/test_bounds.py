@@ -29,7 +29,7 @@ from paulicrit import (
     restrict,
 )
 from paulicrit.bounds import BoundReport, PartitionBound
-from paulicrit.cuts import cut_anticommute, cut_commute
+from paulicrit.cuts import cut_anticommute, cut_commute, is_cut_clique
 from paulicrit.graphs import CliqueResult, Graph, build_graph, chromatic_number
 from paulicrit.pauli import PauliString, cp_expand, format_pauli
 
@@ -257,14 +257,14 @@ def test_report_refuses_a_carrier_that_is_no_symmetry(monkeypatch):
 def test_each_orbit_witness_is_certified_once(name, checks, monkeypatch):
     # one cut-clique check per orbit representative and one for the no-cut
     # witness; every other row is proved by its carrier
-    real = bounds_module._verify_cut_clique
+    real = bounds_module.is_cut_clique
     parts = []
 
     def counted(members, part):
         parts.append(part)
-        real(members, part)
+        return real(members, part)
 
-    monkeypatch.setattr(bounds_module, "_verify_cut_clique", counted)
+    monkeypatch.setattr(bounds_module, "is_cut_clique", counted)
     report = criteria_report(OperatorSet.from_file(DATA / f"{name}.txt"))
     assert len(parts) == checks
     assert set(parts[:-1]) == {row.orbit for row in report.per_partition.values()}
@@ -305,7 +305,7 @@ def _cut_clique(rng, part, size):
 
 
 def test_cut_clique_certificate_matches_the_cut_relation():
-    # the witness check raises exactly when some pair cut-anticommutes
+    # the witness check fails exactly when some pair cut-anticommutes
     rng = random.Random(22)
     clashes = set()
     for width in range(1, 9):
@@ -335,11 +335,7 @@ def test_cut_clique_certificate_matches_the_cut_relation():
                         for b in case[i + 1 :]
                     )
                     clashes.add(clash)
-                    if clash:
-                        with pytest.raises(RuntimeError, match="failed the cut relation check"):
-                            bounds_module._verify_cut_clique(tuple(case), part)
-                    else:
-                        bounds_module._verify_cut_clique(tuple(case), part)
+                    assert is_cut_clique(case, part) == (not clash)
     assert clashes == {False, True}
 
 

@@ -25,7 +25,7 @@ from paulicrit import (
     symmetry_group,
 )
 import paulicrit.cuts as cuts_module
-from paulicrit.cuts import cut_commute, partition_orbits
+from paulicrit.cuts import cut_commute, is_cut_clique, partition_orbits
 from paulicrit.pauli import permute
 
 DATA = Path(__file__).parent / "data"
@@ -203,6 +203,18 @@ def test_cut_relations_self_and_mismatch():
         cut_commute(p, parse_pauli("xyz1"), Partition.finest(3))
     with pytest.raises(ValueError):
         cut_commute(p, p, Partition.finest(4))
+
+
+def test_cut_clique_refuses_a_partition_of_another_width():
+    xx, yy, zzz = parse_pauli("xx"), parse_pauli("yy"), parse_pauli("zzz")
+    assert is_cut_clique([], Partition.finest(2))
+    assert is_cut_clique([xx, yy], Partition.single_block(2))
+    assert not is_cut_clique([xx, yy], Partition.finest(2))
+    with pytest.raises(ValueError, match="partition width 3 does not match operator width 2"):
+        is_cut_clique([xx, yy], Partition.finest(3))
+    # every member's width is checked before any pair
+    with pytest.raises(ValueError, match="partition width 2 does not match operator width 3"):
+        is_cut_clique([xx, yy, zzz], Partition.finest(2))
 
 
 def test_refining_a_cut_preserves_anticommutation():

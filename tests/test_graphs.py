@@ -88,6 +88,8 @@ def test_graph_validation():
         Graph(("a", "b"), (0,))
     with pytest.raises(ValueError):
         Graph.from_edges(["a", "b"], [(0, 0)])
+    with pytest.raises(ValueError, match="adjacency row 0 references missing vertices"):
+        Graph(("a", "b"), (4, 0))
 
 
 def test_graph_accessors():

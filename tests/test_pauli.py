@@ -125,6 +125,13 @@ def test_weight_and_identity():
     assert not parse_pauli("1xy1z").is_identity
 
 
+def test_pauli_string_refuses_a_bad_width_or_stray_bits():
+    with pytest.raises(ValueError, match="width must be at least 1, got 0"):
+        PauliString(0, 0, 0)
+    with pytest.raises(ValueError, match="support bits fall outside the declared width"):
+        PauliString(2, 4, 0)
+
+
 def test_letter_range_checked():
     p = parse_pauli("xy")
     with pytest.raises(ValueError):

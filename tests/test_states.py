@@ -69,6 +69,8 @@ def test_mixed_validation():
         QuantumState.mixed(np.eye(2))
     with pytest.raises(ValueError):
         QuantumState.mixed(np.eye(3) / 3.0)
+    with pytest.raises(ValueError, match="density matrix must be square"):
+        QuantumState.mixed([[1, 0, 0]])
     state = QuantumState.mixed(np.eye(4) / 4.0)
     assert state.width == 2 and not state.is_pure
 
