@@ -8,7 +8,10 @@ every bound against an independent numerical maximizer.
 
 Bounds come from the bit-level modules (``pauli``, ``cuts``, ``graphs``,
 ``bounds``), which never import numpy; only ``states`` and ``oracle``
-load it, and ``pauli.to_matrix`` on its first call.  So the public names
+load it, and ``pauli.to_matrix`` on its first call.  Nor do they import
+``dataclasses``, which loads ``inspect`` and ``ast``: their records are
+``__slots__`` classes (see ``pauli``).  Those imports would cost a
+``bounds`` run more than it spends on a small set.  So the public names
 below resolve on first access (PEP 562), each from its module, and
 ``import paulicrit`` imports no submodule: a ``bounds`` run never pays
 for the numerical ones.

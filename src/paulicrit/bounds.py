@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from .cuts import (
@@ -67,7 +66,7 @@ from .graphs import (
     cut_graphs,
     max_clique,
 )
-from .pauli import OperatorSet, PauliString, format_pauli, site_map
+from .pauli import OperatorSet, PauliString, _Frozen, _set, format_pauli, site_map
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
 _CUT_CHECK_FAILED = "bound witness failed the cut relation check"
@@ -93,19 +92,34 @@ class _Quoted(dict):
         return quoted
 
 
-@dataclass(frozen=True)
-class PartitionBound:
+class PartitionBound(_Frozen):
     """Bound for one partition, with its witness clique and orbit tag."""
 
+    __slots__ = _fields = ("bound", "witness", "orbit")
     bound: int
     witness: tuple[str, ...]
     orbit: Partition
 
+    def __init__(self, bound: int, witness: tuple[str, ...], orbit: Partition) -> None:
+        _set(self, "bound", bound)
+        _set(self, "witness", witness)
+        _set(self, "orbit", orbit)
 
-@dataclass(frozen=True, eq=False)
-class BoundReport:
-    """Full criterion report for one operator set."""
 
+class BoundReport(_Frozen):
+    """Full criterion report for one operator set.  Reports compare and
+    hash by identity: the rows are a dict."""
+
+    __slots__ = _fields = (
+        "sigma",
+        "width",
+        "per_partition",
+        "class_bounds",
+        "quantum_lower",
+        "quantum_witness",
+        "quantum_upper",
+        "notes",
+    )
     sigma: tuple[str, ...]
     width: int
     per_partition: dict
@@ -113,13 +127,34 @@ class BoundReport:
     quantum_lower: int
     quantum_witness: tuple[str, ...]
     quantum_upper: int | None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        sigma: tuple[str, ...],
+        width: int,
+        per_partition: dict,
+        class_bounds: dict,
+        quantum_lower: int,
+        quantum_witness: tuple[str, ...],
+        quantum_upper: int | None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "sigma", sigma)
+        _set(self, "width", width)
+        _set(self, "per_partition", per_partition)
+        _set(self, "class_bounds", class_bounds)
+        _set(self, "quantum_lower", quantum_lower)
+        _set(self, "quantum_witness", quantum_witness)
+        _set(self, "quantum_upper", quantum_upper)
+        _set(self, "notes", notes)
 
     def to_json_obj(self) -> dict:
-        return {
-            "sigma": list(self.sigma),
-            "width": self.width,
-            "partitions": [
+        return self._json_obj(
+            [
                 {
                     "partition": str(part),
                     "orbit": str(row.orbit),
@@ -127,7 +162,16 @@ class BoundReport:
                     "witness": list(row.witness),
                 }
                 for part, row in self.per_partition.items()
-            ],
+            ]
+        )
+
+    def _json_obj(self, rows: list) -> dict:
+        """The report as ``to_json_obj`` gives it, with ``rows`` as its
+        partition rows."""
+        return {
+            "sigma": list(self.sigma),
+            "width": self.width,
+            "partitions": rows,
             "class_bounds": dict(self.class_bounds),
             "quantum": {
                 "lower": self.quantum_lower,
@@ -147,7 +191,7 @@ class BoundReport:
         The head and the tail still come from ``json.dumps``."""
         # every other field through json.dumps; a JSON string holds no raw
         # newline, so the empty rows' line is found only as the report's key
-        text = json.dumps(replace(self, per_partition={}).to_json_obj(), indent=2)
+        text = json.dumps(self._json_obj([]), indent=2)
         if not self.per_partition:
             return text
         head, _, tail = text.partition(_NO_ROWS)
@@ -169,21 +213,32 @@ class BoundReport:
         return '%s\n  "partitions": [\n%s\n  ]%s' % (head, rows, tail)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(_Frozen):
     """One certified exclusion: the state lies outside the named class."""
 
+    __slots__ = _fields = ("claim", "threshold")
     claim: str
     threshold: float
 
+    def __init__(self, claim: str, threshold: float) -> None:
+        _set(self, "claim", claim)
+        _set(self, "threshold", threshold)
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(_Frozen):
     """Classification of a measured criterion value against a report."""
 
+    __slots__ = _fields = ("q_value", "claims", "warnings")
     q_value: float
     claims: tuple[Claim, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
+
+    def __init__(
+        self, q_value: float, claims: tuple[Claim, ...], warnings: tuple[str, ...] = ()
+    ) -> None:
+        _set(self, "q_value", q_value)
+        _set(self, "claims", claims)
+        _set(self, "warnings", warnings)
 
     def to_json_obj(self) -> dict:
         return {

@@ -11,7 +11,9 @@ refused before its report is built.
 numpy loads only with ``states`` and ``oracle``, which this module imports
 inside the commands that use them: ``verify``, ``eval`` and ``generate
 --clique-state``.  ``bounds``, ``graph`` and ``generate --cp`` run on the
-bit-level modules alone and never import it.
+bit-level modules alone and never import it, nor ``dataclasses`` and the
+``inspect`` and ``ast`` it loads: importing those takes several times as
+long as a ``bounds`` report on a small set.
 
 Exit codes: 0 success, 1 soundness violation during verification, 2 for
 parse and input errors, 3 when a size cap is exceeded.  Errors print one

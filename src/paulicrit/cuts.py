@@ -58,7 +58,6 @@ or comma-separated indices (``0,2|1,3,4``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import prod
@@ -67,7 +66,7 @@ from string import ascii_uppercase
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapExceeded, ParseError
-from .pauli import OperatorSet, PauliString, site_map
+from .pauli import OperatorSet, PauliString, _Frozen, _set, site_map
 
 # A search node at depth d tests the n - d unused columns, each against
 # every member, so it is charged members * (n - d) column tests.  Only
@@ -90,23 +89,25 @@ _LETTERS = tuple(ascii_uppercase)
 T = TypeVar("T")
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Disjoint cover of the qubit labels 0..width-1 by nonempty blocks."""
+class Partition(_Frozen):
+    """Disjoint cover of the qubit labels 0..width-1 by nonempty blocks.
 
+    Equal partitions compare, hash and order by ``(width, blocks)``;
+    ``masks`` and ``_hash`` are derived from them and never compared."""
+
+    __slots__ = ("width", "blocks", "masks", "_hash")
+    _fields = ("width", "blocks")
     width: int
     blocks: tuple[tuple[int, ...], ...]
     # one site bitmask per block, in block order
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
     # hash of the compared fields, taken once: reports look rows up often
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int
 
-    def __post_init__(self) -> None:
-        width = self.width
+    def __init__(self, width: int, blocks: tuple[tuple[int, ...], ...]) -> None:
         if width < 1:
             raise ValueError(f"width must be at least 1, got {width}")
-        canon = tuple(sorted(map(tuple, map(sorted, self.blocks))))
-        object.__setattr__(self, "blocks", canon)
+        canon = tuple(sorted(map(tuple, map(sorted, blocks))))
         masks = []
         seen = 0
         for block in canon:
@@ -122,11 +123,33 @@ class Partition:
         if seen != (1 << width) - 1:
             missing = [site for site in range(width) if not seen >> site & 1]
             raise ValueError(f"partition misses qubit indices {missing}")
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "_hash", hash((width, canon)))
+        _set(self, "width", width)
+        _set(self, "blocks", canon)
+        _set(self, "masks", tuple(masks))
+        _set(self, "_hash", hash((width, canon)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values <= other._values
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values > other._values
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values >= other._values
+        return NotImplemented
 
     @classmethod
     def finest(cls, width: int) -> "Partition":
@@ -318,8 +341,7 @@ def _charge(work: int, cost: int, width: int) -> int:
     return work
 
 
-@dataclass(frozen=True)
-class SymmetryChain:
+class SymmetryChain(_Frozen):
     """Stabilizer chain of a set's qubit symmetries, from ``symmetry_group``.
 
     ``transversals`` holds the carriers of sites n-2 down to 0.  ``len()``
@@ -328,10 +350,23 @@ class SymmetryChain:
     exactly order distinct elements and the identity (both checked).
     """
 
+    __slots__ = _fields = ("width", "generators", "transversals", "member_count")
     width: int
     generators: tuple[tuple[int, ...], ...]
     transversals: tuple[tuple[tuple[int, ...], ...], ...]
     member_count: int
+
+    def __init__(
+        self,
+        width: int,
+        generators: tuple[tuple[int, ...], ...],
+        transversals: tuple[tuple[tuple[int, ...], ...], ...],
+        member_count: int,
+    ) -> None:
+        _set(self, "width", width)
+        _set(self, "generators", generators)
+        _set(self, "transversals", transversals)
+        _set(self, "member_count", member_count)
 
     def __len__(self) -> int:
         return prod(len(carriers) for carriers in self.transversals)

@@ -10,8 +10,8 @@ it.
 ``cut_graphs`` is the one cut-relation kernel: one call builds the graph
 of every given partition from transposed (per-site) member bitmasks, and
 ``build_graph`` is its single-partition form.  Every graph, from the
-kernel, ``complement`` or an edge list, comes through ``Graph``'s one
-constructor, which checks its rows for range, self loops and symmetry.
+kernel or ``complement``, comes through ``Graph``'s one constructor,
+which checks its rows for range, self loops and symmetry.
 The symmetry check, ``_asymmetry``, is pure int: ``_stack`` pads rows to
 a power-of-two bit width, so the rows are already a square bit matrix
 that log2(side) delta swaps transpose.  This module imports no numpy,
@@ -45,12 +45,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 from .cuts import Partition, check_partition_width
 from .errors import check_cap
-from .pauli import OperatorSet
+from .pauli import OperatorSet, _Frozen, _set
 
 CLIQUE_VERTEX_CAP = 128
 COLOR_VERTEX_CAP = 64
@@ -131,37 +130,28 @@ def _asymmetry(rows: Iterable[int], n: int) -> tuple[int, int] | None:
     return divmod((diff & -diff).bit_length() - 1, side)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Immutable undirected graph; adjacency[i] is the neighbour bitmask of i."""
 
+    __slots__ = _fields = ("labels", "adjacency")
     labels: tuple[str, ...]
     adjacency: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
-        if len(self.adjacency) != n:
+    def __init__(self, labels: tuple[str, ...], adjacency: tuple[int, ...]) -> None:
+        n = len(labels)
+        if len(adjacency) != n:
             raise ValueError("labels and adjacency rows disagree in length")
         full = (1 << n) - 1
-        for i, row in enumerate(self.adjacency):
+        for i, row in enumerate(adjacency):
             if row & ~full:
                 raise ValueError(f"adjacency row {i} references missing vertices")
             if (row >> i) & 1:
                 raise ValueError(f"vertex {i} has a self loop")
-        at = _asymmetry(self.adjacency, n)
+        at = _asymmetry(adjacency, n)
         if at is not None:
             raise ValueError(f"adjacency not symmetric at {at}")
-
-    @classmethod
-    def from_edges(cls, labels: Iterable[str], edges: Iterable[tuple[int, int]]) -> "Graph":
-        labels = tuple(labels)
-        adj = [0] * len(labels)
-        for i, j in edges:
-            if i == j:
-                raise ValueError(f"self loop at vertex {i}")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        return cls(labels, tuple(adj))
+        _set(self, "labels", labels)
+        _set(self, "adjacency", adjacency)
 
     @property
     def vertex_count(self) -> int:
@@ -169,9 +159,6 @@ class Graph:
 
     def degree(self, i: int) -> int:
         return self.adjacency[i].bit_count()
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adjacency[i] >> j) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with i < j, sorted."""
@@ -203,12 +190,16 @@ class Graph:
         return '%s,\n  "edges": %s\n}' % (head, "[\n%s\n  ]" % edges if edges else "[]")
 
 
-@dataclass(frozen=True)
-class CliqueResult:
+class CliqueResult(_Frozen):
     """Clique number plus one verified witness (sorted vertex indices)."""
 
+    __slots__ = _fields = ("size", "witness")
     size: int
     witness: tuple[int, ...]
+
+    def __init__(self, size: int, witness: tuple[int, ...]) -> None:
+        _set(self, "size", size)
+        _set(self, "witness", witness)
 
 
 def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph]:

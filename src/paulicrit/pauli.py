@@ -11,11 +11,22 @@ unrepresentable on purpose.
 Two strings anticommute exactly when the symplectic overlap parity
 popcount(p.x & q.z) + popcount(p.z & q.x) is odd; everything downstream
 (cut relations, graphs, bounds) reduces to this test.
+
+The records of the bit-level modules (``PauliString`` here, and those of
+``cuts``, ``graphs`` and ``bounds``) are ``__slots__`` classes on the
+private base ``_Frozen``, which gives them equality, hashing, ``repr``,
+immutability and copying from a tuple of field names.  They are not
+dataclasses: importing ``dataclasses`` loads ``inspect`` and ``ast``, and
+each decorator runs generated code through ``exec``, which together cost
+a ``bounds`` run more to start than it spends on a small set.  ``states``
+and ``oracle`` keep their dataclasses: they load numpy, which takes far
+longer, and the tests swap a field of an ``OracleResult`` with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import ParseError, check_cap
@@ -29,20 +40,63 @@ MATRIX_QUBIT_CAP = 6
 _LETTERS = "1xzy"  # indexed by (z_bit << 1) | x_bit
 
 
-@dataclass(frozen=True)
-class PauliString:
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Immutable record: its ``_fields`` are its constructor parameters in
+    order, and it compares, hashes, prints and pickles as the tuple of
+    them, like a frozen dataclass.  A subclass declares its slots and
+    ``_fields`` and sets each field once in ``__init__`` through ``_set``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _values: tuple  # the fields' values, in order
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and unpickled records are built through the constructor
+        return self.__class__, self._values
+
+
+class PauliString(_Frozen):
     """One phase-free Pauli tensor product on ``width`` qubits."""
 
+    __slots__ = _fields = ("width", "x_bits", "z_bits")
     width: int
     x_bits: int
     z_bits: int
 
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be at least 1, got {self.width}")
-        mask = (1 << self.width) - 1
-        if self.x_bits & ~mask or self.z_bits & ~mask:
+    def __init__(self, width: int, x_bits: int, z_bits: int) -> None:
+        if width < 1:
+            raise ValueError(f"width must be at least 1, got {width}")
+        mask = (1 << width) - 1
+        if x_bits & ~mask or z_bits & ~mask:
             raise ValueError("support bits fall outside the declared width")
+        _set(self, "width", width)
+        _set(self, "x_bits", x_bits)
+        _set(self, "z_bits", z_bits)
 
     def letter(self, site: int) -> str:
         """Site letter at qubit index ``site``, one of '1xyz'."""

@@ -811,13 +811,20 @@ def _assert_verify_golden(rows, name):
         assert row == want
 
 
-# a new interpreter in which ``import numpy`` fails, running the CLI
-NO_NUMPY = (
-    "import sys\n"
-    "sys.modules['numpy'] = None\n"
-    "from paulicrit.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n"
-)
+def _blocking(*modules: str) -> str:
+    """A snippet for a new interpreter in which importing any of
+    ``modules`` fails, running the CLI."""
+    blocks = "".join(f"sys.modules[{name!r}] = None\n" for name in modules)
+    return (
+        f"import sys\n{blocks}"
+        "from paulicrit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+
+# the bit-level commands run without numpy, and without dataclasses, whose
+# import loads inspect and ast
+NO_NUMPY = _blocking("numpy", "dataclasses")
 
 
 @pytest.mark.parametrize("name", GOLDEN_SETS)
@@ -839,22 +846,28 @@ def test_graph_and_generate_run_without_numpy(fresh_python, capsys):
 
 
 def test_cli_import_leaves_numpy_to_the_oracle(fresh_python):
-    """``import paulicrit.cli`` loads no numpy; ``verify`` loads it on
-    first use and still matches its golden rows.  Under ``NO_NUMPY``,
-    ``verify`` fails, which shows that its block takes effect."""
+    """``import paulicrit.cli`` loads no numpy, ``dataclasses`` or
+    ``inspect``; ``verify`` loads numpy on first use and still matches its
+    golden rows.  With numpy blocked, ``verify`` fails, and with
+    ``dataclasses`` blocked too, so both blocks take effect."""
     ex8 = str(DATA / "ex8.txt")
     script = (
         "import sys\n"
         "import paulicrit.cli\n"
-        "assert 'numpy' not in sys.modules, 'import paulicrit.cli loaded numpy'\n"
+        "for name in ('numpy', 'dataclasses', 'inspect'):\n"
+        "    assert name not in sys.modules, f'import paulicrit.cli loaded {name}'\n"
         "sys.exit(paulicrit.cli.main(sys.argv[1:]))\n"
     )
     run = fresh_python(script, "verify", ex8, "--json", "--restarts", "8")
     assert run.returncode == 0, run.stderr
     _assert_verify_golden(json.loads(run.stdout), "ex8")
-    blocked = fresh_python(NO_NUMPY, "verify", ex8, "--json", "--restarts", "8")
-    assert blocked.returncode != 0
-    assert "import of numpy halted" in blocked.stderr
+    for snippet, halted in (
+        (_blocking("numpy"), "numpy"),
+        (NO_NUMPY, "dataclasses"),  # the oracle's modules import it first
+    ):
+        blocked = fresh_python(snippet, "verify", ex8, "--json", "--restarts", "8")
+        assert blocked.returncode != 0
+        assert f"import of {halted} halted" in blocked.stderr
 
 
 def test_main_builds_the_parser_once(sigma3_file, capsys, monkeypatch):

@@ -47,11 +47,24 @@ PAD4 = OperatorSet.from_strings("xy11 1x11 xzy1 1yx1 yyz1 xzz1 xx11 zxx1".split(
 DATA = Path(__file__).parent / "data"
 
 
+def graph_from_edges(labels, edges):
+    """The graph on ``labels`` whose edges are the given index pairs."""
+    adj = [0] * len(labels)
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return Graph(tuple(labels), tuple(adj))
+
+
+def has_edge(g, i, j):
+    return bool(g.adjacency[i] >> j & 1)
+
+
 def brute_clique_number(g):
     n = g.vertex_count
     for r in range(n, 1, -1):
         for comb in itertools.combinations(range(n), r):
-            if all(g.has_edge(i, j) for i, j in itertools.combinations(comb, 2)):
+            if all(has_edge(g, i, j) for i, j in itertools.combinations(comb, 2)):
                 return r
     return 1 if n else 0
 
@@ -76,7 +89,7 @@ def random_graph(rng, n, p=0.5):
         for i, j in itertools.combinations(range(n), 2)
         if rng.random() < p
     ]
-    return Graph.from_edges([str(i) for i in range(n)], edges)
+    return graph_from_edges([str(i) for i in range(n)], edges)
 
 
 def test_graph_validation():
@@ -87,18 +100,18 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         Graph(("a", "b"), (0,))
     with pytest.raises(ValueError):
-        Graph.from_edges(["a", "b"], [(0, 0)])
+        graph_from_edges(["a", "b"], [(0, 0)])
     with pytest.raises(ValueError, match="adjacency row 0 references missing vertices"):
         Graph(("a", "b"), (4, 0))
 
 
 def test_graph_accessors():
-    g = Graph.from_edges(["p", "q", "r"], [(0, 1), (1, 2)])
+    g = graph_from_edges(["p", "q", "r"], [(0, 1), (1, 2)])
     assert g.vertex_count == 3
     assert g.edge_count == 2
     assert g.edges() == [(0, 1), (1, 2)]
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
+    assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
+    assert not has_edge(g, 0, 2)
     assert g.degree(1) == 2
     assert g.to_json_obj() == {"labels": ["p", "q", "r"], "edges": [[0, 1], [1, 2]]}
 
@@ -106,9 +119,9 @@ def test_graph_accessors():
 def test_graph_json_is_json_dumps_of_its_object():
     sigma = _random_set(np.random.default_rng(27), 6, 40)
     graphs = [
-        Graph.from_edges([], []),
-        Graph.from_edges(["p"], []),  # no edges: "edges": []
-        Graph.from_edges(['q"1', "back\\slash", "caf\u00e9"], [(0, 2)]),
+        graph_from_edges([], []),
+        graph_from_edges(["p"], []),  # no edges: "edges": []
+        graph_from_edges(['q"1', "back\\slash", "caf\u00e9"], [(0, 2)]),
         build_graph(PAD4, parse_partition("ABC|D", 4), "commute"),
     ]
     for part in (Partition.finest(6), Partition.single_block(6)):
@@ -141,7 +154,7 @@ def test_build_graph_matches_cut_relation(sigma15):
         g = build_graph(sigma15, part, relation)
         for i, j in itertools.combinations(range(len(sigma15)), 2):
             expect = check(sigma15.members[i], sigma15.members[j], part)
-            assert g.has_edge(i, j) == expect
+            assert has_edge(g, i, j) == expect
 
 
 def _random_set(rng, width, count):
@@ -157,8 +170,8 @@ def _assert_edges_match_restrictions(sigma, part):
         expect = any(
             anticommutes(restrict(p, b), restrict(q, b)) for b in part.blocks
         )
-        assert anti.has_edge(i, j) == expect
-        assert comm.has_edge(i, j) == (not expect)
+        assert has_edge(anti, i, j) == expect
+        assert has_edge(comm, i, j) == (not expect)
 
 
 def test_build_graph_matches_restrictions_every_bipartition():
@@ -208,7 +221,7 @@ def _set_partitions(width):
 def _assert_pair_rule(sigma, part, g):
     assert g.labels == sigma.texts()
     for i, j in itertools.combinations(range(len(sigma)), 2):
-        assert g.has_edge(i, j) == cut_commute(sigma[i], sigma[j], part)
+        assert has_edge(g, i, j) == cut_commute(sigma[i], sigma[j], part)
 
 
 def test_cut_graphs_match_pair_rule_every_partition():
@@ -243,9 +256,9 @@ def test_cut_graphs_refuse_an_asymmetric_site_matrix(monkeypatch):
     seen = []
 
     class Recorded(Graph):
-        def __post_init__(self):
-            seen.append(self.adjacency)
-            super().__post_init__()
+        def __init__(self, labels, adjacency):
+            seen.append(adjacency)
+            super().__init__(labels, adjacency)
 
     monkeypatch.setattr(graphs_module, "_stack", corrupt)
     monkeypatch.setattr(graphs_module, "Graph", Recorded)
@@ -402,7 +415,7 @@ def test_complement_involution():
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(1, 9)))
         assert complement(complement(g)).adjacency == g.adjacency
-    k4 = Graph.from_edges("abcd", list(itertools.combinations(range(4), 2)))
+    k4 = graph_from_edges("abcd", list(itertools.combinations(range(4), 2)))
     assert complement(k4).edge_count == 0
 
 
@@ -411,15 +424,15 @@ def test_max_clique_small_cases():
     assert (max_clique(empty5).size, max_clique(empty5).witness) == (1, (0,))
     assert max_clique(Graph((), ())).size == 0
     assert max_clique(Graph((), ())).witness == ()
-    path = Graph.from_edges("abc", [(0, 1), (1, 2)])
+    path = graph_from_edges("abc", [(0, 1), (1, 2)])
     assert (max_clique(path).size, max_clique(path).witness) == (2, (0, 1))
-    triangle_late = Graph.from_edges("abcde", [(0, 1), (2, 3), (2, 4), (3, 4)])
+    triangle_late = graph_from_edges("abcde", [(0, 1), (2, 3), (2, 4), (3, 4)])
     assert max_clique(triangle_late).witness == (2, 3, 4)
 
 
 def test_max_clique_witness_is_lex_smallest():
     # two disjoint edges: (0, 1) beats (2, 3)
-    g = Graph.from_edges("abcd", [(0, 1), (2, 3)])
+    g = graph_from_edges("abcd", [(0, 1), (2, 3)])
     assert max_clique(g).witness == (0, 1)
 
 
@@ -432,12 +445,12 @@ def test_max_clique_matches_brute_force():
         assert result.size == brute_clique_number(g)
         assert len(result.witness) == result.size
         for i, j in itertools.combinations(result.witness, 2):
-            assert g.has_edge(i, j)
+            assert has_edge(g, i, j)
         # combinations() runs in lexicographic order
         first = next(
             comb
             for comb in itertools.combinations(range(n), result.size)
-            if all(g.has_edge(i, j) for i, j in itertools.combinations(comb, 2))
+            if all(has_edge(g, i, j) for i, j in itertools.combinations(comb, 2))
         )
         assert result.witness == first
 
@@ -448,7 +461,7 @@ def test_max_clique_witness_probes_below_the_first_clique_found(monkeypatch):
     # 23) below it, and commits 2 and 3 with no search
     import paulicrit.graphs as graphs_module
 
-    g = Graph.from_edges(
+    g = graph_from_edges(
         "abcdefg", [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (0, 1)]
     )
     found = [0]
@@ -487,7 +500,7 @@ def test_independence_number_matches_complement():
         result = independence_number(g)
         assert result.size == brute_clique_number(complement(g))
         for i, j in itertools.combinations(result.witness, 2):
-            assert not g.has_edge(i, j)
+            assert not has_edge(g, i, j)
 
 
 def test_independence_whole_set_anticommute(sigma3):
@@ -533,13 +546,13 @@ def test_first_descent_is_dsatur_greedy(sigma3, sigma15):
 
 
 def test_chromatic_number_known_graphs():
-    k5 = Graph.from_edges("abcde", list(itertools.combinations(range(5), 2)))
+    k5 = graph_from_edges("abcde", list(itertools.combinations(range(5), 2)))
     assert chromatic_number(k5)[0] == 5
-    c5 = Graph.from_edges("abcde", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    c5 = graph_from_edges("abcde", [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert chromatic_number(c5)[0] == 3
     empty = Graph(tuple("abc"), (0,) * 3)
     assert chromatic_number(empty)[0] == 1
-    k33 = Graph.from_edges(
+    k33 = graph_from_edges(
         "abcdef", [(i, j) for i in range(3) for j in range(3, 6)]
     )
     assert chromatic_number(k33)[0] == 2
@@ -583,7 +596,7 @@ def test_commute_graph_clique_and_coloring_agree(sigma15):
 
 
 def test_export_dot_layout():
-    g = Graph.from_edges(["xx", "yy"], [(0, 1)])
+    g = graph_from_edges(["xx", "yy"], [(0, 1)])
     text = export_dot(g)
     assert text.splitlines() == [
         "graph sigma {",
