@@ -66,7 +66,7 @@ from .graphs import (
     cut_graphs,
     max_clique,
 )
-from .pauli import OperatorSet, PauliString, _Frozen, _set, format_pauli, site_map
+from .pauli import OperatorSet, PauliString, _Frozen, format_pauli, site_map
 
 QUANTUM_CONSISTENCY_TOL = 1e-6
 _CUT_CHECK_FAILED = "bound witness failed the cut relation check"
@@ -100,11 +100,6 @@ class PartitionBound(_Frozen):
     witness: tuple[str, ...]
     orbit: Partition
 
-    def __init__(self, bound: int, witness: tuple[str, ...], orbit: Partition) -> None:
-        _set(self, "bound", bound)
-        _set(self, "witness", witness)
-        _set(self, "orbit", orbit)
-
 
 class BoundReport(_Frozen):
     """Full criterion report for one operator set.  Reports compare and
@@ -128,29 +123,10 @@ class BoundReport(_Frozen):
     quantum_witness: tuple[str, ...]
     quantum_upper: int | None
     notes: tuple[str, ...]
+    _defaults = {"notes": ()}
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        sigma: tuple[str, ...],
-        width: int,
-        per_partition: dict,
-        class_bounds: dict,
-        quantum_lower: int,
-        quantum_witness: tuple[str, ...],
-        quantum_upper: int | None,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        _set(self, "sigma", sigma)
-        _set(self, "width", width)
-        _set(self, "per_partition", per_partition)
-        _set(self, "class_bounds", class_bounds)
-        _set(self, "quantum_lower", quantum_lower)
-        _set(self, "quantum_witness", quantum_witness)
-        _set(self, "quantum_upper", quantum_upper)
-        _set(self, "notes", notes)
 
     def to_json_obj(self) -> dict:
         return self._json_obj(
@@ -220,10 +196,6 @@ class Claim(_Frozen):
     claim: str
     threshold: float
 
-    def __init__(self, claim: str, threshold: float) -> None:
-        _set(self, "claim", claim)
-        _set(self, "threshold", threshold)
-
 
 class Verdict(_Frozen):
     """Classification of a measured criterion value against a report."""
@@ -232,13 +204,7 @@ class Verdict(_Frozen):
     q_value: float
     claims: tuple[Claim, ...]
     warnings: tuple[str, ...]
-
-    def __init__(
-        self, q_value: float, claims: tuple[Claim, ...], warnings: tuple[str, ...] = ()
-    ) -> None:
-        _set(self, "q_value", q_value)
-        _set(self, "claims", claims)
-        _set(self, "warnings", warnings)
+    _defaults = {"warnings": ()}
 
     def to_json_obj(self) -> dict:
         return {
@@ -260,11 +226,10 @@ def bound_for_partition(
     relation.
     """
     g = build_graph(sigma, part, "commute")
-    result = max_clique(g)
-    witness = tuple(sigma.members[i] for i in result.witness)
+    witness = tuple(sigma.members[i] for i in max_clique(g).witness)
     if not is_cut_clique(witness, part):
         raise RuntimeError(_CUT_CHECK_FAILED)
-    return result.size, witness
+    return len(witness), witness
 
 
 def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> BoundReport:
@@ -293,15 +258,15 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     # members, one walk over the plain graph's cliques serves them all,
     # unless it runs out of budget; else one pass of the cut kernel yields
     # each orbit's graph for its own search.  Each orbit's witness is
-    # certified once, on its representative
+    # certified once, on its representative, and its length is the bound
     placed = [orbits[part] for part in parts]
     reps = list(dict.fromkeys(rep for rep, _ in placed))
-    results = cut_cliques(sigma, reps) if len(reps) > len(sigma) else None
-    if results is None:
-        results = map(max_clique, cut_graphs(sigma, reps))
-    cliques = dict(zip(reps, results))
-    for rep, result in cliques.items():
-        if not is_cut_clique([sigma.members[i] for i in result.witness], rep):
+    found = cut_cliques(sigma, reps) if len(reps) > len(sigma) else None
+    if found is None:
+        found = [max_clique(g).witness for g in cut_graphs(sigma, reps)]
+    cliques = dict(zip(reps, found))
+    for rep, clique in cliques.items():
+        if not is_cut_clique([sigma.members[i] for i in clique], rep):
             raise RuntimeError(_CUT_CHECK_FAILED)
     # A row is proved to be its representative's image under its carrier.
     # Each distinct carrier is proved a symmetry of sigma once: every member
@@ -318,7 +283,6 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     carriers = {}  # carrier -> (site map, text of each member's image)
     per_partition: dict[Partition, PartitionBound] = {}
     for part, (rep, g) in zip(parts, placed):
-        result = cliques[rep]
         image, named = rep.masks, texts
         if g != identity:
             carrier = carriers.get(g)
@@ -335,8 +299,8 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
             image = move_masks(move, image)
         if image != part.masks:
             raise RuntimeError(f"orbit carrier does not send {rep} onto {part}")
-        witness = tuple(sorted(map(named.__getitem__, result.witness)))
-        per_partition[part] = PartitionBound(result.size, witness, rep)
+        witness = tuple(sorted(map(named.__getitem__, cliques[rep])))
+        per_partition[part] = PartitionBound(len(witness), witness, rep)
 
     # rows in the order of parts: the finest partition, then the others
     values = [row.bound for row in per_partition.values()]

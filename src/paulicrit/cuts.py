@@ -58,7 +58,7 @@ or comma-separated indices (``0,2|1,3,4``).
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import partial, total_ordering
 from itertools import combinations
 from math import prod
 from operator import add
@@ -89,6 +89,7 @@ _LETTERS = tuple(ascii_uppercase)
 T = TypeVar("T")
 
 
+@total_ordering
 class Partition(_Frozen):
     """Disjoint cover of the qubit labels 0..width-1 by nonempty blocks.
 
@@ -134,21 +135,6 @@ class Partition(_Frozen):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._values < other._values
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values <= other._values
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values > other._values
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values >= other._values
         return NotImplemented
 
     @classmethod
@@ -355,18 +341,6 @@ class SymmetryChain(_Frozen):
     generators: tuple[tuple[int, ...], ...]
     transversals: tuple[tuple[tuple[int, ...], ...], ...]
     member_count: int
-
-    def __init__(
-        self,
-        width: int,
-        generators: tuple[tuple[int, ...], ...],
-        transversals: tuple[tuple[tuple[int, ...], ...], ...],
-        member_count: int,
-    ) -> None:
-        _set(self, "width", width)
-        _set(self, "generators", generators)
-        _set(self, "transversals", transversals)
-        _set(self, "member_count", member_count)
 
     def __len__(self) -> int:
         return prod(len(carriers) for carriers in self.transversals)

@@ -18,8 +18,9 @@ that log2(side) delta swaps transpose.  This module imports no numpy,
 and neither do ``bounds`` and ``graph`` runs, which would otherwise spend
 more time importing numpy than building their graphs.
 
-``cut_cliques`` answers ``max_clique`` for many partitions without
-building their graphs.  Every cut graph is the plain graph less some
+``cut_cliques`` returns the ``max_clique`` witnesses of many partitions
+without building their graphs; ``bounds`` certifies each and takes its
+length as the row's bound.  Every cut graph is the plain graph less some
 pairs, so each plainly commuting pair carries one bit per partition, set
 where it cut-commutes, and one lexicographic walk over the plain graph's
 cliques serves every partition.  Its pair table costs O(n^2) once, where
@@ -196,10 +197,6 @@ class CliqueResult(_Frozen):
     __slots__ = _fields = ("size", "witness")
     size: int
     witness: tuple[int, ...]
-
-    def __init__(self, size: int, witness: tuple[int, ...]) -> None:
-        _set(self, "size", size)
-        _set(self, "witness", witness)
 
 
 def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph]:
@@ -405,10 +402,10 @@ def max_clique(g: Graph) -> CliqueResult:
 
 def cut_cliques(
     sigma: OperatorSet, parts: Iterable[Partition]
-) -> list[CliqueResult] | None:
-    """``max_clique`` of each partition's cut-commutativity graph, in the
-    order given, from one walk over the plain graph's cliques; None when
-    the walk exceeds ``CLIQUE_WALK_BUDGET`` child tests per partition.
+) -> list[tuple[int, ...]] | None:
+    """Each partition's ``max_clique`` witness, in the order given, from
+    one walk over the plain graph's cliques; None when the walk exceeds
+    ``CLIQUE_WALK_BUDGET`` child tests per partition.
 
     Every cut graph is the plain graph less the pairs whose overlap is odd
     on some block.  A partition of b blocks takes the overlap parities of
@@ -420,7 +417,7 @@ def cut_cliques(
     partition, set where the pair cut-commutes.  ``_walk_cliques`` then
     visits the plain graph's cliques in lexicographic order once for all
     partitions.  The witnesses are not re-verified here: ``bounds``
-    certifies each one on the members' bits.
+    certifies each one on the members' bits; its length is the row's bound.
     """
     members = sigma.members
     n = len(members)
@@ -470,7 +467,7 @@ def cut_cliques(
     budget = CLIQUE_WALK_BUDGET * len(at)
     if _walk_cliques(adj, pairs, (), (1 << n) - 1, live, below, witness, budget) < 0:
         return None
-    return [CliqueResult(len(w), w) for w in map(witness.__getitem__, at)]
+    return list(map(witness.__getitem__, at))
 
 
 def _walk_cliques(

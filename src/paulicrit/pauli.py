@@ -15,12 +15,15 @@ popcount(p.x & q.z) + popcount(p.z & q.x) is odd; everything downstream
 The records of the bit-level modules (``PauliString`` here, and those of
 ``cuts``, ``graphs`` and ``bounds``) are ``__slots__`` classes on the
 private base ``_Frozen``, which gives them equality, hashing, ``repr``,
-immutability and copying from a tuple of field names.  They are not
-dataclasses: importing ``dataclasses`` loads ``inspect`` and ``ast``, and
-each decorator runs generated code through ``exec``, which together cost
-a ``bounds`` run more to start than it spends on a small set.  ``states``
-and ``oracle`` keep their dataclasses: they load numpy, which takes far
-longer, and the tests swap a field of an ``OracleResult`` with
+immutability and copying from a tuple of field names.  One rule: a record
+that validates writes its own ``__init__`` and sets each slot through
+``_set``; any other declares only ``_fields`` and ``_defaults`` and takes
+the base's one ``__init__``.  No ``__init__`` is generated, and they are
+not dataclasses: importing ``dataclasses`` loads ``inspect`` and ``ast``,
+and each decorator runs generated code through ``exec``, which together
+cost a ``bounds`` run more to start than it spends on a small set.
+``states`` and ``oracle`` keep their dataclasses: they load numpy, which
+takes far longer, and the tests swap a field of an ``OracleResult`` with
 ``dataclasses.replace``.
 """
 
@@ -47,15 +50,40 @@ class _Frozen:
     """Immutable record: its ``_fields`` are its constructor parameters in
     order, and it compares, hashes, prints and pickles as the tuple of
     them, like a frozen dataclass.  A subclass declares its slots and
-    ``_fields`` and sets each field once in ``__init__`` through ``_set``."""
+    ``_fields``.  One that validates sets each field once in its own
+    ``__init__`` through ``_set``; any other takes this ``__init__``, which
+    binds arguments to ``_fields`` as a call would, an omitted one to its
+    value in ``_defaults``.  It is written once, not generated per record
+    through ``exec``, which would cost every start."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
     _values: tuple  # the fields' values, in order
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._values = property(attrgetter(*cls._fields))
+        fields = cls._fields
+        if len(fields) > 1:
+            cls._values = property(attrgetter(*fields))
+        else:  # attrgetter of one name gives the bare value, of none fails
+            cls._values = property(lambda r: tuple(getattr(r, f) for f in fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            # the fields after the positional ones take keywords or defaults
+            rest = fields[len(args) :]
+            values = {**self._defaults, **kwargs}
+            bound = kwargs.keys() <= set(rest) <= values.keys()
+            if len(args) > len(fields) or not bound:
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes {fields}, not "
+                    f"{len(args)} positional arguments and keywords {sorted(kwargs)}"
+                )
+            args += tuple(map(values.__getitem__, rest))
+        for name, value in zip(fields, args):
+            _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -347,7 +347,8 @@ def _assert_walk_equals_max_clique(sigma, parts):
     assert results is not None
     assert len(results) == len(parts)
     for part, g, got in zip(parts, cut_graphs(sigma, parts), results):
-        assert got == max_clique(g), str(part)
+        want = max_clique(g)
+        assert got == want.witness and len(got) == want.size, str(part)
 
 
 def test_cut_cliques_equal_max_clique_on_random_sets(monkeypatch):

@@ -27,7 +27,7 @@ from paulicrit.cuts import (
     symmetry_group,
 )
 from paulicrit.graphs import CliqueResult, Graph
-from paulicrit.pauli import OperatorSet, PauliString
+from paulicrit.pauli import OperatorSet, PauliString, _Frozen
 
 AB = Partition(2, ((0,), (1,)))
 
@@ -218,6 +218,82 @@ def test_verdict_defaults_and_report_rows_from_the_library():
             3,
         )
     )
+
+
+# every field of each record without a validating constructor, in order
+PLAIN = {
+    SymmetryChain: (2, ((1, 0),), (((0, 1), (1, 0)),), 2),
+    CliqueResult: (3, (0, 1, 2)),
+    PartitionBound: (1, ("xx",), AB),
+    BoundReport: (("xx",), 2, {}, {}, 1, ("xx",), None, ("n",)),
+    Claim: ("c", 1.0),
+    Verdict: (2.5, (), ("w",)),
+}
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_record_constructor_binds_like_a_call(cls):
+    args = PLAIN[cls]
+    fields = cls._fields
+    assert len(fields) == len(args)
+    value = cls(*args)
+    assert tuple(getattr(value, f) for f in fields) == args
+    assert repr(cls(**dict(zip(fields, args)))) == repr(value)
+
+
+BAD_CALLS = {
+    "missing": lambda cls, args: cls(**dict(zip(cls._fields[1:], args[1:]))),
+    "extra positional": lambda cls, args: cls(*args, 0),
+    "unknown keyword": lambda cls, args: cls(*args, bogus=0),
+    "repeated": lambda cls, args: cls(*args, **{cls._fields[0]: args[0]}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CALLS)
+@pytest.mark.parametrize("cls", PLAIN, ids=lambda cls: cls.__name__)
+def test_record_constructor_refuses_a_bad_call(cls, case):
+    with pytest.raises(TypeError):
+        BAD_CALLS[case](cls, PLAIN[cls])
+
+
+def test_notes_and_warnings_default_only_when_omitted():
+    report_args = PLAIN[BoundReport][:-1]
+    assert BoundReport(*report_args).notes == ()
+    assert BoundReport(*report_args, None).notes is None
+    assert BoundReport(*report_args, notes=None).notes is None
+    assert Verdict(2.5, ()).warnings == ()
+    assert Verdict(2.5, (), None).warnings is None
+    assert Verdict(2.5, (), warnings=None).warnings is None
+
+
+@pytest.mark.parametrize(
+    "name, fields, args",
+    [("_One", ("value",), ((1, 2),)), ("_Empty", (), ())],
+    ids=["one field", "no field"],
+)
+def test_records_of_one_and_no_fields_keep_their_tuple(name, fields, args, monkeypatch):
+    # declared here, so that a base that cannot declare it fails this test
+    # alone; pickle finds the class as a global of this module
+    namespace = {"__slots__": fields, "_fields": fields, "__module__": __name__}
+    cls = type(name, (_Frozen,), namespace)
+    monkeypatch.setitem(globals(), name, cls)
+    value = cls(*args)
+    assert value._values == args
+    assert value == cls(**dict(zip(fields, args)))
+    assert value != args and value != (args,)
+    assert hash(value) == hash(args)
+    assert repr(value) == {"_One": "_One(value=(1, 2))", "_Empty": "_Empty()"}[name]
+    for twin in (
+        copy.copy(value),
+        copy.deepcopy(value),
+        pickle.loads(pickle.dumps(value)),
+        pickle.loads(pickle.dumps(value, protocol=0)),
+    ):
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+    if fields:
+        assert value != cls((1, 3))
 
 
 # each record's constructor parameters, in order
