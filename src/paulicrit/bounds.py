@@ -68,7 +68,10 @@ from .graphs import (
 )
 from .pauli import OperatorSet, PauliString, _Frozen, format_pauli, site_map
 
-QUANTUM_CONSISTENCY_TOL = 1e-6
+# a measured Q must beat a threshold by this much to earn a claim or a
+# warning, and an oracle maximum by this much to refute a bound: a product
+# state built from a row's witness can read a few 1e-15 above the row
+SOUNDNESS_TOL = 1e-6
 _CUT_CHECK_FAILED = "bound witness failed the cut relation check"
 # one row of "partitions" as json.dumps(..., indent=2) nests it in a report
 _ROW = """\
@@ -226,7 +229,7 @@ def bound_for_partition(
     relation.
     """
     g = build_graph(sigma, part, "commute")
-    witness = tuple(sigma.members[i] for i in max_clique(g).witness)
+    witness = tuple(sigma.members[i] for i in max_clique(g))
     if not is_cut_clique(witness, part):
         raise RuntimeError(_CUT_CHECK_FAILED)
     return len(witness), witness
@@ -263,7 +266,7 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
     reps = list(dict.fromkeys(rep for rep, _ in placed))
     found = cut_cliques(sigma, reps) if len(reps) > len(sigma) else None
     if found is None:
-        found = [max_clique(g).witness for g in cut_graphs(sigma, reps)]
+        found = list(map(max_clique, cut_graphs(sigma, reps)))
     cliques = dict(zip(reps, found))
     for rep, clique in cliques.items():
         if not is_cut_clique([sigma.members[i] for i in clique], rep):
@@ -342,14 +345,15 @@ def criteria_report(sigma: OperatorSet, *, quantum_upper: bool = False) -> Bound
 def classify(q_value: float, report: BoundReport) -> Verdict:
     """Turn a measured criterion value into exclusion claims.
 
-    A claim appears only when the value strictly exceeds the threshold;
-    equal values certify nothing.  The thresholds are the report's clique
+    A claim appears only when the value exceeds the threshold by more
+    than ``SOUNDNESS_TOL``, so rounding in Q never claims a threshold
+    that a product state attains.  The thresholds are the report's clique
     numbers, which product states attain but may exceed (pad4 reaches
     2.0938 across ``ABC|D``, whose clique number is 2), so a claim is
     proven only where its clique number is also the product-state
-    maximum.  A value above ``quantum_lower``, the no-cut clique number,
-    earns a warning to check the inputs; that value too is attained, not
-    proven maximal.
+    maximum.  A value that far above ``quantum_lower``, the no-cut clique
+    number, earns a warning to check the inputs; that value too is
+    attained, not proven maximal.
     """
     if not math.isfinite(q_value):
         raise ValueError(f"criterion value must be finite, got {q_value}")
@@ -357,23 +361,23 @@ def classify(q_value: float, report: BoundReport) -> Verdict:
         raise ValueError(f"criterion value cannot be negative, got {q_value}")
     claims: list[Claim] = []
     full = report.class_bounds["full_separability"]
-    if q_value > full:
+    if q_value > full + SOUNDNESS_TOL:
         claims.append(Claim("entangled (not fully separable)", float(full)))
     finest = Partition.finest(report.width)
     for part, row in report.per_partition.items():
         if part == finest:
             continue
-        if q_value > row.bound:
+        if q_value > row.bound + SOUNDNESS_TOL:
             claims.append(
                 Claim(f"not separable w.r.t. {part}", float(row.bound))
             )
     genuine = report.class_bounds.get("any_bipartition")
-    if genuine is not None and q_value > genuine:
+    if genuine is not None and q_value > genuine + SOUNDNESS_TOL:
         claims.append(
             Claim("genuinely multipartite entangled", float(genuine))
         )
     warnings: tuple[str, ...] = ()
-    if q_value > report.quantum_lower + QUANTUM_CONSISTENCY_TOL:
+    if q_value > report.quantum_lower + SOUNDNESS_TOL:
         warnings = (
             f"value {q_value} exceeds the no-cut maximum "
             f"{report.quantum_lower}; check the inputs",

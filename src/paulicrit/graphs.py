@@ -31,9 +31,12 @@ the members and fall back to the kernel when it trips.
 ``max_clique`` and ``chromatic_number`` are exact and deterministic:
 runs on equal inputs return identical results, and every witness is
 re-verified against the adjacency relation before it is returned.
-``max_clique`` runs one colour-bounded search for the clique number and
-a maximum clique, and keeps that clique as a known completion while it
-rebuilds the lexicographically smallest witness.
+``max_clique`` and ``independence_number`` return their witness alone,
+as a sorted index tuple like each of ``cut_cliques``' rows, so every
+clique number is the length of a checked witness.  ``max_clique`` runs
+one colour-bounded search for the clique number and a maximum clique,
+and keeps that clique as a known completion while it rebuilds the
+lexicographically smallest witness.
 
 ``chromatic_number`` deepens from the clique number over one DSATUR
 backtracking search, ``_assign_colours``, whose first descent gives each
@@ -191,14 +194,6 @@ class Graph(_Frozen):
         return '%s,\n  "edges": %s\n}' % (head, "[\n%s\n  ]" % edges if edges else "[]")
 
 
-class CliqueResult(_Frozen):
-    """Clique number plus one verified witness (sorted vertex indices)."""
-
-    __slots__ = _fields = ("size", "witness")
-    size: int
-    witness: tuple[int, ...]
-
-
 def cut_graphs(sigma: OperatorSet, parts: Iterable[Partition]) -> Iterator[Graph]:
     """Cut-commutativity graph of sigma for each partition, in the order given.
 
@@ -346,8 +341,9 @@ def check_clique_cap(n: int) -> None:
     check_cap(n, CLIQUE_VERTEX_CAP, f"clique search on {n} vertices")
 
 
-def max_clique(g: Graph) -> CliqueResult:
-    """Exact maximum clique with the lexicographically smallest witness.
+def max_clique(g: Graph) -> tuple[int, ...]:
+    """The lexicographically smallest maximum clique, as sorted vertex
+    indices: the clique number is its length.
 
     One colour-bounded branch and bound gives the clique number and a
     maximum clique.  The witness is then rebuilt greedily, committing the
@@ -360,7 +356,7 @@ def max_clique(g: Graph) -> CliqueResult:
     n = g.vertex_count
     check_clique_cap(n)
     if n == 0:
-        return CliqueResult(0, ())
+        return ()
     adj = g.adjacency
     comp = _complements(adj)
     found = [0]
@@ -397,7 +393,7 @@ def max_clique(g: Graph) -> CliqueResult:
     for v in witness:
         if (adj[v] | 1 << v) & wmask != wmask:
             raise RuntimeError("clique witness failed verification")
-    return CliqueResult(size, tuple(witness))
+    return tuple(witness)
 
 
 def cut_cliques(
@@ -524,14 +520,15 @@ def _walk_cliques(
     return work
 
 
-def independence_number(g: Graph) -> CliqueResult:
-    """Exact maximum independent set, via the clique complement duality."""
-    result = max_clique(complement(g))
-    wmask = sum(1 << v for v in result.witness)
-    for v in result.witness:
+def independence_number(g: Graph) -> tuple[int, ...]:
+    """The lexicographically smallest maximum independent set, via the
+    clique complement duality; the independence number is its length."""
+    witness = max_clique(complement(g))
+    wmask = sum(1 << v for v in witness)
+    for v in witness:
         if g.adjacency[v] & wmask:
             raise RuntimeError("independent-set witness failed verification")
-    return result
+    return witness
 
 
 def _dsatur_pick(adj: tuple[int, ...], colours: list[int]) -> tuple[int, set[int]]:

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from . import states
-from .bounds import bound_for_partition
+from .bounds import SOUNDNESS_TOL, bound_for_partition
 from .cuts import Partition, check_partition_width
 from .errors import CapExceeded, check_cap
 from .pauli import OperatorSet
@@ -68,7 +68,6 @@ ORACLE_WORK_BUDGET = 8_000_000
 _BATCH_AMPLITUDES = 1 << 18
 
 SATURATION_TOL = 1e-3
-SOUNDNESS_TOL = 1e-6
 # a restart stops once a sweep gains at most this times max(1, Q)
 CONVERGENCE_TOL = 1e-9
 # sweeps per restart; read at call time, so tests may patch it here

@@ -31,7 +31,14 @@ import numpy as np
 
 from .cuts import Partition
 from .errors import check_cap
-from .pauli import OperatorSet, PauliString, anticommutes, format_pauli, to_matrix
+from .pauli import (
+    OperatorSet,
+    PauliString,
+    anticommutes,
+    format_pauli,
+    parse_pauli,
+    to_matrix,
+)
 
 PURE_QUBIT_CAP = 12
 MIXED_QUBIT_CAP = 8
@@ -246,20 +253,10 @@ def named_state(name: str, width: int, detail: str | None = None) -> QuantumStat
     if name == "smolin":
         if width != 4:
             raise ValueError("smolin is a 4 qubit state")
-        # Equal mixture of the four (same Bell state) x (same Bell state) pairs,
-        # the first pair on qubits 0,1 and the second on qubits 2,3.
-        root = 1.0 / np.sqrt(2.0)
-        bells = [
-            np.array([root, 0.0, 0.0, root], dtype=complex),
-            np.array([root, 0.0, 0.0, -root], dtype=complex),
-            np.array([0.0, root, root, 0.0], dtype=complex),
-            np.array([0.0, root, -root, 0.0], dtype=complex),
-        ]
-        rho = np.zeros((16, 16), dtype=complex)
-        for bell in bells:
-            psi = np.kron(bell, bell)
-            rho += 0.25 * np.outer(psi, psi.conj())
-        return QuantumState.mixed(rho)
+        # (1 + xxxx + yyyy + zzzz) / 16, the equal mixture of the four
+        # (same Bell state) x (same Bell state) pairs; each entry is exactly 0 or 1/8
+        terms = ("1111", "xxxx", "yyyy", "zzzz")
+        return QuantumState.mixed(sum(to_matrix(parse_pauli(t)) for t in terms) / 16)
     check_cap(width, PURE_QUBIT_CAP, f"{name} state on width {width}")
     if name == "basis":
         if detail is None:

@@ -324,10 +324,10 @@ def test_criterion_7_property_suites(report_criterion):
         width = int(rng.integers(3, 6))
         sigma = random_sigma(rng, width, int(rng.integers(4, 11)))
         part = random_bipartition(rng, width)
-        commute_clique = max_clique(build_graph(sigma, part, "commute")).size
-        anti_independent = independence_number(
-            build_graph(sigma, part, "anticommute")
-        ).size
+        commute_clique = len(max_clique(build_graph(sigma, part, "commute")))
+        anti_independent = len(
+            independence_number(build_graph(sigma, part, "anticommute"))
+        )
         ok_graphs &= commute_clique == anti_independent
         coarse = Partition(width, (tuple(range(width)),))
         ok_graphs &= (

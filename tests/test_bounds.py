@@ -28,9 +28,9 @@ from paulicrit import (
     parse_pauli,
     restrict,
 )
-from paulicrit.bounds import BoundReport, PartitionBound
+from paulicrit.bounds import SOUNDNESS_TOL, BoundReport, PartitionBound
 from paulicrit.cuts import cut_anticommute, cut_commute, is_cut_clique
-from paulicrit.graphs import CliqueResult, Graph, build_graph, chromatic_number
+from paulicrit.graphs import Graph, build_graph, chromatic_number
 from paulicrit.pauli import PauliString, cp_expand, format_pauli
 
 DATA = Path(__file__).parent / "data"
@@ -175,7 +175,7 @@ def test_witness_check_refuses_a_cut_anticommuting_pair(sigma3, monkeypatch):
     # xxx and yxx anticommute on qubit 0 alone, so they cut-anticommute
     # across every partition, whatever relabeling carries them there
     assert sigma3.texts()[:2] == ("xxx", "yxx")
-    monkeypatch.setattr(bounds_module, "max_clique", lambda g: CliqueResult(2, (0, 1)))
+    monkeypatch.setattr(bounds_module, "max_clique", lambda g: (0, 1))
     with pytest.raises(RuntimeError, match="failed the cut relation check"):
         criteria_report(sigma3)
     with pytest.raises(RuntimeError, match="failed the cut relation check"):
@@ -192,7 +192,7 @@ def test_witness_check_refuses_a_non_clique_no_cut_witness(sigma3, monkeypatch):
 
     def fake(g):
         calls.append(g == plain)
-        return CliqueResult(2, (0, 1)) if g == plain else real(g)
+        return (0, 1) if g == plain else real(g)
 
     monkeypatch.setattr(bounds_module, "max_clique", fake)
     with pytest.raises(RuntimeError, match="failed the cut relation check"):
@@ -505,6 +505,19 @@ def test_classify_equal_value_claims_nothing(sigma3):
     assert [c.claim for c in verdict.claims] == ["entangled (not fully separable)"]
     assert classify(1.0, report).claims == ()
     assert classify(0.0, report).claims == ()
+
+
+def test_classify_needs_more_than_rounding_above_a_threshold(sigma15):
+    # a product state built from a row's witness can read a few 1e-15 above
+    # the row's bound; that is no evidence against the cut
+    report = criteria_report(sigma15)
+    bound = report.per_partition[parse_partition("AB|CDE", 5)].bound
+    assert bound == report.class_bounds["any_bipartition"] == 3
+    claims = {c.claim for c in classify(bound + 1e-12, report).claims}
+    assert claims == {"entangled (not fully separable)"}
+    claims = {c.claim for c in classify(bound + 2 * SOUNDNESS_TOL, report).claims}
+    assert "not separable w.r.t. AB|CDE" in claims
+    assert "genuinely multipartite entangled" in claims
 
 
 def test_classify_thresholds(sigma15):

@@ -9,16 +9,22 @@ import pytest
 
 from paulicrit import (
     CapExceeded,
+    OperatorSet,
     Partition,
     QuantumState,
+    assemble_product,
+    common_eigenstate,
+    criteria_report,
     expectation,
     named_state,
+    parse_partition,
     parse_pauli,
     random_product_state,
+    restrict,
     to_matrix,
 )
 from paulicrit.cli import main
-from paulicrit.states import load_state
+from paulicrit.states import load_state, save_state
 
 EIGHT = "xxx\nyxx\nxyx\nyyx\nxxy\nyxy\nxyy\nyyy\n"
 
@@ -799,6 +805,34 @@ def test_generate_clique_state_matches_golden_file(name, capsys):
     assert main(["generate", "--clique-state", str(DATA / f"{name}.txt")]) == 0
     golden = (DATA / f"{name}.clique-state.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize(
+    ("name", "cut"), [("ring6", "AB|CDEF"), ("symmetric_6_seed0", "ABC|DEF")]
+)
+def test_eval_claims_no_cut_that_its_state_is_a_product_across(
+    name, cut, tmp_path, capsys
+):
+    """The product, block by block, of common eigenstates of the cut row
+    witness's restrictions attains the row's bound 15, and its Q reads
+    15.000000000000002; rounding must not claim the cut."""
+    sigma_path = str(DATA / f"{name}.txt")
+    sigma = OperatorSet.from_file(sigma_path)
+    part = parse_partition(cut, sigma.width)
+    row = criteria_report(sigma).per_partition[part]
+    witness = [parse_pauli(t) for t in row.witness]
+    factors = []
+    for block in part.blocks:
+        ops = [restrict(p, block) for p in witness]
+        factors.append(common_eigenstate([p for p in ops if not p.is_identity]).data)
+    state = tmp_path / "product.json"
+    save_state(assemble_product(part, factors), state)
+    assert main(["eval", sigma_path, "--state", str(state), "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["q"]["value"] == pytest.approx(row.bound, rel=0, abs=1e-12)
+    claims = {c["claim"] for c in obj["verdict"]["claims"]}
+    assert f"not separable w.r.t. {cut}" not in claims
+    assert "genuinely multipartite entangled" not in claims
 
 
 def _assert_verify_golden(rows, name):

@@ -28,7 +28,6 @@ from paulicrit import (
 )
 from paulicrit.cuts import cut_commute
 from paulicrit.graphs import (
-    CliqueResult,
     Graph,
     _assign_colours,
     _asymmetry,
@@ -347,12 +346,11 @@ def _assert_walk_equals_max_clique(sigma, parts):
     assert results is not None
     assert len(results) == len(parts)
     for part, g, got in zip(parts, cut_graphs(sigma, parts), results):
-        want = max_clique(g)
-        assert got == want.witness and len(got) == want.size, str(part)
+        assert got == max_clique(g), str(part)
 
 
 def test_cut_cliques_equal_max_clique_on_random_sets(monkeypatch):
-    # size and witness, the lexicographically smallest maximum clique, of
+    # the witness, the lexicographically smallest maximum clique, of
     # every row; the budget is raised so that every walk finishes
     import paulicrit.graphs as graphs_module
 
@@ -422,19 +420,18 @@ def test_complement_involution():
 
 def test_max_clique_small_cases():
     empty5 = Graph(tuple("abcde"), (0,) * 5)
-    assert (max_clique(empty5).size, max_clique(empty5).witness) == (1, (0,))
-    assert max_clique(Graph((), ())).size == 0
-    assert max_clique(Graph((), ())).witness == ()
+    assert max_clique(empty5) == (0,)
+    assert max_clique(Graph((), ())) == ()
     path = graph_from_edges("abc", [(0, 1), (1, 2)])
-    assert (max_clique(path).size, max_clique(path).witness) == (2, (0, 1))
+    assert max_clique(path) == (0, 1)
     triangle_late = graph_from_edges("abcde", [(0, 1), (2, 3), (2, 4), (3, 4)])
-    assert max_clique(triangle_late).witness == (2, 3, 4)
+    assert max_clique(triangle_late) == (2, 3, 4)
 
 
 def test_max_clique_witness_is_lex_smallest():
     # two disjoint edges: (0, 1) beats (2, 3)
     g = graph_from_edges("abcd", [(0, 1), (2, 3)])
-    assert max_clique(g).witness == (0, 1)
+    assert max_clique(g) == (0, 1)
 
 
 def test_max_clique_matches_brute_force():
@@ -442,18 +439,17 @@ def test_max_clique_matches_brute_force():
     for trial in range(40):
         n = int(rng.integers(1, 13))
         g = random_graph(rng, n, p=float(rng.uniform(0.2, 0.8)))
-        result = max_clique(g)
-        assert result.size == brute_clique_number(g)
-        assert len(result.witness) == result.size
-        for i, j in itertools.combinations(result.witness, 2):
+        witness = max_clique(g)
+        assert len(witness) == brute_clique_number(g)
+        for i, j in itertools.combinations(witness, 2):
             assert has_edge(g, i, j)
         # combinations() runs in lexicographic order
         first = next(
             comb
-            for comb in itertools.combinations(range(n), result.size)
+            for comb in itertools.combinations(range(n), len(witness))
             if all(has_edge(g, i, j) for i, j in itertools.combinations(comb, 2))
         )
-        assert result.witness == first
+        assert witness == first
 
 
 def test_max_clique_witness_probes_below_the_first_clique_found(monkeypatch):
@@ -478,7 +474,7 @@ def test_max_clique_witness_probes_below_the_first_clique_found(monkeypatch):
         return _grow_clique(adj, comp, size, path, cand, best, goal, found)
 
     monkeypatch.setattr(graphs_module, "_grow_clique", counting)
-    assert max_clique(g) == CliqueResult(3, (1, 2, 3))
+    assert max_clique(g) == (1, 2, 3)
     assert searches == [(0b1111111, 7), (0b10, 2), (0b1100, 2)]
 
 
@@ -498,15 +494,16 @@ def test_independence_number_matches_complement():
     rng = np.random.default_rng(29)
     for _ in range(20):
         g = random_graph(rng, int(rng.integers(1, 11)))
-        result = independence_number(g)
-        assert result.size == brute_clique_number(complement(g))
-        for i, j in itertools.combinations(result.witness, 2):
+        witness = independence_number(g)
+        assert witness == max_clique(complement(g))
+        assert len(witness) == brute_clique_number(complement(g))
+        for i, j in itertools.combinations(witness, 2):
             assert not has_edge(g, i, j)
 
 
 def test_independence_whole_set_anticommute(sigma3):
     g = build_graph(sigma3, Partition.single_block(3), "anticommute")
-    assert independence_number(g).size == 4
+    assert len(independence_number(g)) == 4
 
 
 def reference_dsatur(adj):
@@ -560,7 +557,7 @@ def test_chromatic_number_known_graphs():
     assert chromatic_number(Graph((), ())) == (0, ())
     # pad4's no-cut graph has omega 2, so its probe at k = 2 fails
     plain = build_graph(PAD4, Partition.single_block(4), "commute")
-    assert max_clique(plain).size == 2
+    assert len(max_clique(plain)) == 2
     assert chromatic_number(plain)[0] == 3
 
 
@@ -581,7 +578,7 @@ def test_chromatic_at_least_clique():
     rng = np.random.default_rng(37)
     for _ in range(15):
         g = random_graph(rng, int(rng.integers(2, 11)))
-        assert chromatic_number(g)[0] >= max_clique(g).size
+        assert chromatic_number(g)[0] >= len(max_clique(g))
 
 
 def test_chromatic_cap():
@@ -592,7 +589,7 @@ def test_chromatic_cap():
 
 def test_commute_graph_clique_and_coloring_agree(sigma15):
     g = build_graph(sigma15, Partition.single_block(5), "commute")
-    assert max_clique(g).size == 5
+    assert len(max_clique(g)) == 5
     assert chromatic_number(g)[0] == 5
 
 

@@ -299,6 +299,13 @@ def test_named_state_errors(monkeypatch):
             named_state(*args)
 
 
+def test_smolin_entries_are_exact():
+    # (1 + xxxx + yyyy + zzzz) / 16: each entry is 0 or 1/8 with no rounding
+    rho = named_state("smolin", 4).data
+    assert set(np.unique(rho).tolist()) == {0.0, 0.125}
+    assert np.trace(rho) == 1.0
+
+
 def test_smolin_correlations():
     smolin = named_state("smolin", 4)
     for text in ("xxxx", "yyyy", "zzzz"):

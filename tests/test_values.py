@@ -26,7 +26,7 @@ from paulicrit.cuts import (
     enumerate_bipartitions,
     symmetry_group,
 )
-from paulicrit.graphs import CliqueResult, Graph
+from paulicrit.graphs import Graph
 from paulicrit.pauli import OperatorSet, PauliString, _Frozen
 
 AB = Partition(2, ((0,), (1,)))
@@ -60,12 +60,6 @@ CASES = {
         lambda: Graph(labels=("xx1", "1xx", "x1x"), adjacency=(6, 5, 3)),
         "Graph(labels=('xx1', '1xx', 'x1x'), adjacency=(6, 5, 3))",
         lambda: Graph(("xx1", "1xx", "x1x"), (2, 1, 0)),
-    ),
-    "CliqueResult": (
-        lambda: CliqueResult(3, (0, 1, 2)),
-        lambda: CliqueResult(size=3, witness=(0, 1, 2)),
-        "CliqueResult(size=3, witness=(0, 1, 2))",
-        lambda: CliqueResult(3, (0, 1, 3)),
     ),
     "PartitionBound": (
         lambda: PartitionBound(1, ("xx",), AB),
@@ -223,7 +217,6 @@ def test_verdict_defaults_and_report_rows_from_the_library():
 # every field of each record without a validating constructor, in order
 PLAIN = {
     SymmetryChain: (2, ((1, 0),), (((0, 1), (1, 0)),), 2),
-    CliqueResult: (3, (0, 1, 2)),
     PartitionBound: (1, ("xx",), AB),
     BoundReport: (("xx",), 2, {}, {}, 1, ("xx",), None, ("n",)),
     Claim: ("c", 1.0),
@@ -302,7 +295,6 @@ FIELDS = {
     "Partition": ("width", "blocks"),
     "SymmetryChain": ("width", "generators", "transversals", "member_count"),
     "Graph": ("labels", "adjacency"),
-    "CliqueResult": ("size", "witness"),
     "PartitionBound": ("bound", "witness", "orbit"),
     "Claim": ("claim", "threshold"),
     "Verdict": ("q_value", "claims", "warnings"),
