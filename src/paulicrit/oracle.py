@@ -34,6 +34,20 @@ may group a product's rows differently by their count; the chunk size
 is fixed by ``_BATCH_AMPLITUDES`` and the block, so results stay
 deterministic.
 
+Neither step has a step size, so restarts sweep together, in batches
+that cache at most ``_BATCH_AMPLITUDES`` amplitudes s_b psi_b where a
+restart allows.  Every per-restart array of a batch holds its active
+restarts only: factors, expectations, values, the member actions
+``moved``, settled flags, and the trial's x0 and x1, which are the
+arrays earlier sweeps left, since each sweep binds every block to a new
+one.  A restart's value and factors are written back once, when it
+leaves: on converging, or when the sweep budget ends.  The trial is
+surveyed into the one ``moved`` buffer, and rows that reject it are
+surveyed again, so a 12-qubit search holds no second such buffer.  The
+starting factors come from one ``states.haar_unit`` call in the order of
+one vector at a time, restart by restart and block by block, so a seed
+gives restart r the same start whatever the restart count.
+
 One admission check, ``check_work_budget``, runs before any search: the
 width cap, and a work budget on the amplitudes a sweep touches:
 restarts x members x the summed block dimensions, summed over the
@@ -79,14 +93,19 @@ _AXES = np.array([[1.0, 1.0], [1.0, 1.0j], [np.sqrt(2.0), 0.0]]) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Restart policy; deterministic for a fixed seed."""
+    """Restart policy; deterministic for a fixed seed.  Each field must be
+    an integer, not a bool, or a ValueError names it."""
 
     restarts: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be positive, got {self.restarts}")
+        for field, least in ("restarts", 1), ("seed", 0):
+            value = getattr(self, field)
+            integer = isinstance(value, (int, np.integer))
+            if not integer or isinstance(value, bool) or value < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{field} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,26 +247,24 @@ def _extrapolate(
     moved: list[np.ndarray],
     exps: np.ndarray,
     values: np.ndarray,
-    rows: np.ndarray,
     start: list[np.ndarray],
     middle: list[np.ndarray],
 ) -> None:
-    """Move the active rows' wide blocks to their squared-extrapolation
-    trial where its Q is at least Q(x2); every other row stays at x2.
-    Updates factors, moved, exps and values in place."""
-    x2 = [factors[bi][rows] for bi in wide]
-    trial, finite = _squared_trial(
-        [s[rows] for s in start], [m[rows] for m in middle], x2
-    )
+    """Move each row's wide blocks to their squared-extrapolation trial
+    where its Q is at least Q(x2); every other row stays at x2.  Updates
+    factors, moved, exps and values in place."""
+    x2 = [factors[bi] for bi in wide]
+    trial, finite = _squared_trial(start, middle, x2)
     trial_exps = exps.copy()
     for j, bi in enumerate(wide):
         trial_exps[bi] = _survey(actions[bi], trial[j], moved[bi])
     trial_values = _q_values(trial_exps)
-    accept = finite & (trial_values >= values[rows])
-    values[rows[accept]] = trial_values[accept]
+    accept = finite & (trial_values >= values)
+    values[accept] = trial_values[accept]
     exps[:, accept] = trial_exps[:, accept]
+    # x2 is the last sweep's own array, so it takes the trial in place
     for j, bi in enumerate(wide):
-        factors[bi][rows[accept]] = trial[j][accept]
+        factors[bi][accept] = trial[j][accept]
     # the trial overwrote moved; survey x2 again on the rows that keep it
     reject = ~accept
     if reject.all():
@@ -264,75 +281,95 @@ def _extrapolate(
 
 def _ascend(
     actions: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]],
-    draws: list[list[np.ndarray]],
+    draws: list[np.ndarray],
 ) -> tuple[float, list[np.ndarray], int, bool]:
-    """Block-coordinate ascent on one batch of restarts: the best restart's
-    value, factors and converged flag, and the batch's total sweeps."""
-    factors = [np.stack([d[bi] for d in draws]) for bi in range(len(actions))]
+    """Block-coordinate ascent on one batch of restarts, starting from the
+    rows of draws[bi] on block bi: the best restart's value, factors and
+    converged flag, and the batch's total sweeps.  Per-restart arrays hold
+    the active restarts, which rows maps back to the batch; a restart's
+    value and factors go to final and draws when it leaves."""
+    count = len(draws[0])
+    final = np.empty(count)
+    converged = np.zeros(count, dtype=bool)
+
+    def leave(gone: np.ndarray) -> None:
+        final[rows[gone]] = values[gone]
+        for out, f in zip(draws, factors):
+            out[rows[gone]] = f[gone]
+
+    factors = list(draws)
     moved = [
-        np.empty((len(draws), len(perms), f.shape[1]), dtype=complex)
+        np.empty((count, len(perms), f.shape[1]), dtype=complex)
         for (perms, _, _), f in zip(actions, factors)
     ]
     exps = np.stack([_survey(a, f, m) for a, f, m in zip(actions, factors, moved)])
     values = _q_values(exps)
-    sweeps = np.zeros(len(draws), dtype=np.int64)
-    converged = np.zeros(len(draws), dtype=bool)
+    rows = np.arange(count)
+    settled = np.zeros(count, dtype=bool)
+    sweeps = 0
+    middle = []
 
     # blocks of two or more qubits, the ones the squared extrapolation moves
     wide = [bi for bi, action in enumerate(actions) if action[2] is None]
-    # others[bi] lists every block but bi
-    blocks = np.arange(len(actions))
-    others = [np.delete(blocks, bi) for bi in blocks]
+    # others[bi] picks every block but bi, as an index when it is one
+    # block, so its expectations are read as a view
+    others = [np.delete(np.arange(len(actions)), bi) for bi in range(len(actions))]
+    others = [o[0] if len(o) == 1 else o for o in others]
 
-    # moved, exps and settled hold the active restarts only; rows maps
-    # them back
-    rows = np.arange(len(draws))
-    settled = np.zeros(len(draws), dtype=bool)
     for sweep in range(MAX_SWEEPS):
-        if rows.size == 0:
-            break
+        # no copies: each sweep binds every block to a new factor array
         if sweep % 2 == 0:
-            start = [factors[bi].copy() for bi in wide]
-        sweeps[rows] += 1
-        any_settled = settled.any()
+            start = [factors[bi] for bi in wide]
+        sweeps += rows.size
+        all_settled = settled.all()
         for bi, action in enumerate(actions):
-            rest = np.multiply.reduce(exps[others[bi]], axis=0)
-            weights = rest * rest
-            coeffs = weights * exps[bi]
-            psi = factors[bi][rows]
-            target = (coeffs[:, None, :] @ moved[bi])[:, 0]
-            target += np.add.reduce(np.abs(coeffs), axis=1)[:, None] * psi
-            norms = _norms(target)
-            # every coefficient vanishes only where Q = 0, a critical point
-            stuck = norms <= 1e-12
-            if stuck.any():
-                target[stuck], norms[stuck] = psi[stuck], 1.0
-            psi = target / norms[:, None]
             letters = action[2]
-            if letters is not None and any_settled:
-                psi[settled] = _qubit_maximizer(weights[settled], letters)
-            factors[bi][rows] = psi
+            rest = exps[others[bi]]
+            if rest.ndim == 3:
+                rest = np.multiply.reduce(rest, axis=0)
+            weights = rest * rest
+            if letters is not None and all_settled:
+                psi = _qubit_maximizer(weights, letters)
+            else:
+                coeffs = weights * exps[bi]
+                psi = factors[bi]
+                target = (coeffs[:, None, :] @ moved[bi])[:, 0]
+                target += np.add.reduce(np.abs(coeffs), axis=1)[:, None] * psi
+                norms = _norms(target)
+                # every coefficient vanishes only where Q = 0, a critical point
+                stuck = norms <= 1e-12
+                if stuck.any():
+                    target[stuck], norms[stuck] = psi[stuck], 1.0
+                psi = target / norms[:, None]
+                if letters is not None and settled.any():
+                    psi[settled] = _qubit_maximizer(weights[settled], letters)
+            factors[bi] = psi
             exps[bi] = _survey(action, psi, moved[bi])
         new_values = _q_values(exps)
-        gain = new_values - values[rows]
-        values[rows] = new_values
+        gain = new_values - values
+        values = new_values
         scale = np.maximum(1.0, np.abs(new_values))
         settled |= gain <= SATURATION_TOL * scale
         done = gain <= CONVERGENCE_TOL * scale
         if done.any():
             converged[rows[done]] = True
-            rows, exps, settled = rows[~done], exps[:, ~done], settled[~done]
-            moved = [m[~done] for m in moved]
-        if sweep % 2 == 0:
-            middle = [factors[bi].copy() for bi in wide]
-        elif wide and rows.size:
-            _extrapolate(
-                actions, wide, factors, moved, exps, values, rows, start, middle
+            leave(done)
+            keep = ~done
+            rows, values, settled = rows[keep], values[keep], settled[keep]
+            exps = exps[:, keep]
+            factors, moved, start, middle = (
+                [x[keep] for x in xs] for xs in (factors, moved, start, middle)
             )
+            if rows.size == 0:
+                break
+        if sweep % 2 == 0:
+            middle = [factors[bi] for bi in wide]
+        elif wide:
+            _extrapolate(actions, wide, factors, moved, exps, values, start, middle)
+    leave(np.ones(rows.size, dtype=bool))
 
-    best = int(np.argmax(values))
-    best_factors = [f[best] for f in factors]
-    return float(values[best]), best_factors, int(sweeps.sum()), bool(converged[best])
+    best = int(np.argmax(final))
+    return float(final[best]), [d[best] for d in draws], sweeps, bool(converged[best])
 
 
 def maximize_q_product(
@@ -388,11 +425,8 @@ def maximize_q_product(
     neither towards ``iterations_used`` and ``MAX_SWEEPS`` nor
     towards settling and convergence, which plain sweeps alone decide.
     A partition without a block of two or more qubits takes no trial.
-
-    Neither step has a step size, so restarts move together, in batches
-    that cache at most _BATCH_AMPLITUDES amplitudes s_b psi_b where a
-    restart allows; a restart leaves its batch once its sweep gain is at
-    most ``CONVERGENCE_TOL`` times max(1, Q).
+    Restarts sweep together in batches; a restart leaves its batch once
+    its sweep gain is at most ``CONVERGENCE_TOL`` times max(1, Q).
     """
     if config is None:
         config = OracleConfig()
@@ -402,16 +436,13 @@ def maximize_q_product(
     blocks = part.blocks
     actions = [_block_action(sigma, block) for block in blocks]
     rng = np.random.default_rng(config.seed)
-    # drawn restart by restart, block by block, so restart r starts from
-    # the same factors whatever the restart count
-    draws = [
-        [haar_unit(rng, 1 << len(b)) for b in blocks]
-        for _ in range(config.restarts)
-    ]
+    # one row per restart on each block, in haar_unit's order, so restart
+    # r starts from the same factors whatever the restart count
+    draws = haar_unit(rng, [1 << len(b) for b in blocks], config.restarts)
     per_restart = len(sigma) * sum(1 << len(b) for b in blocks)
     size = max(1, _BATCH_AMPLITUDES // per_restart)
     runs = [
-        _ascend(actions, draws[start : start + size])
+        _ascend(actions, [d[start : start + size] for d in draws])
         for start in range(0, config.restarts, size)
     ]
     # max keeps the first of equal values, so ties go to the lowest restart

@@ -372,17 +372,31 @@ def assemble_product(part: Partition, factors: Sequence[np.ndarray]) -> QuantumS
     return QuantumState.pure(vec)
 
 
-def haar_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unit vector of dimension ``dim``."""
-    v = rng.standard_normal(dim) + 1.0j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def haar_unit(
+    rng: np.random.Generator, dims: Sequence[int], count: int = 1
+) -> list[np.ndarray]:
+    """``count`` Haar-random unit vectors of each dimension in ``dims``, one
+    (count, dim) array per dimension, from one ``standard_normal`` call.
+    Row r of each equals, bit for bit, v / numpy.linalg.norm(v) for
+    v = standard_normal(dim) + 1j * standard_normal(dim) drawn round r,
+    dimension by dimension."""
+    draws = rng.standard_normal((count, 2 * sum(dims)))
+    units, at = [], 0
+    for dim in dims:
+        v = draws[:, at : at + dim] + 1.0j * draws[:, at + dim : at + 2 * dim]
+        at += 2 * dim
+        # numpy.linalg.norm's sum, on the same strided views of one vector
+        norms = [np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) for r in v]
+        units.append(v / np.array(norms)[:, None])
+    return units
 
 
 def random_product_state(part: Partition, seed) -> QuantumState:
     """Haar-random pure state in each block, tensored along the partition."""
     check_cap(part.width, PURE_QUBIT_CAP, f"product state on width {part.width}")
     rng = np.random.default_rng(seed)
-    return assemble_product(part, [haar_unit(rng, 1 << len(b)) for b in part.blocks])
+    units = haar_unit(rng, [1 << len(b) for b in part.blocks])
+    return assemble_product(part, [u[0] for u in units])
 
 
 def anticommuting_unit_combination(

@@ -617,6 +617,28 @@ def test_exact_oracle_value_prints_no_negative_zero_gap(
     assert out.splitlines()[-1].split()[3] == "0.000000000"
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+        (["--restarts", "0"], "restarts must be a positive integer, got 0"),
+    ],
+)
+def test_verify_refuses_a_bad_oracle_setting_before_the_report(
+    option, message, sigma3_file, capsys, monkeypatch
+):
+    import paulicrit.cli as cli_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report built before the oracle settings were read")
+
+    monkeypatch.setattr(cli_module, "criteria_report", forbidden)
+    assert main(["verify", sigma3_file, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 WIDTH8 = (
     "11zz1zzx 1x1zz1yy 1xxzzxzx 1yxyzz1z 1zxyz1z1 1zxzy1y1 1zyyxz11 1zzxyyy1 "
     "x1xzzzxz xx1yzy1z xz1xz11x z1xyx1yy zx11y1z1 zxyzy1xz zyxx1yxy zyxxxyzy"

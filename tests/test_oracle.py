@@ -4,6 +4,8 @@ Module tests run with few restarts; the acceptance suite exercises the
 default configuration.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from paulicrit import (
     OperatorSet,
     OracleConfig,
     Partition,
+    criteria_report,
     evaluate_q,
     maximize_q_global,
     parse_partition,
@@ -38,8 +41,33 @@ def test_config_defaults_and_validation():
     assert config.restarts == 64
     assert oracle_module.MAX_SWEEPS == 2000
     assert config.seed == 0
-    with pytest.raises(ValueError):
-        OracleConfig(restarts=0)
+    # refused when built, before a search hands them to range() or to
+    # numpy's SeedSequence; a bool is not taken for an int
+    bad = [
+        ("restarts", 0),
+        ("restarts", -3),
+        ("restarts", 2.5),
+        ("restarts", "8"),
+        ("restarts", True),
+        ("restarts", np.bool_(True)),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", "0"),
+        ("seed", False),
+        ("seed", None),
+    ]
+    for field, value in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            OracleConfig(**{field: value})
+    assert str(pytest.raises(ValueError, OracleConfig, seed=-1).value) == (
+        "seed must be a non-negative integer, got -1"
+    )
+    assert str(pytest.raises(ValueError, OracleConfig, restarts=2.5).value) == (
+        "restarts must be a positive integer, got 2.5"
+    )
+    # numpy integers are still taken
+    config = OracleConfig(restarts=np.int64(3), seed=np.uint32(7))
+    assert (config.restarts, config.seed) == (3, 7)
 
 
 def test_product_search_two_qubit_pair():
@@ -225,6 +253,61 @@ def test_batches_and_chunks_leave_the_search_unchanged(sigma15, monkeypatch):
     assert split.iterations_used == whole.iterations_used
     assert split.converged == whole.converged
     assert np.array_equal(split.best_state.data, whole.best_state.data)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _verify_rows(name):
+    """The partitions ``verify`` searches on a fixture set, its orbit
+    representatives, and the no-cut partition."""
+    sigma = OperatorSet.from_file(str(DATA / f"{name}.txt"))
+    rows = criteria_report(sigma).per_partition
+    parts = sorted({row.orbit for row in rows.values()})
+    return [(sigma, part) for part in (*parts, Partition.single_block(sigma.width))]
+
+
+VERIFY_ROWS = [
+    pytest.param(sigma, part, id=f"{name}-{part}")
+    for name in ("ex8", "eq15", "pad4", "code5", "core_census1")
+    for sigma, part in _verify_rows(name)
+]
+
+
+@pytest.mark.parametrize("sigma, part", VERIFY_ROWS)
+def test_one_restart_batches_leave_every_verify_row_unchanged(
+    sigma, part, monkeypatch
+):
+    config = OracleConfig(restarts=10)
+    whole = maximize_q_product(sigma, part, config)
+    # a batch of one restart, whose members take one chunk on every block
+    per_restart = len(sigma) * sum(1 << len(block) for block in part.blocks)
+    monkeypatch.setattr(oracle_module, "_BATCH_AMPLITUDES", per_restart)
+    split = maximize_q_product(sigma, part, config)
+    assert split.best_value == whole.best_value
+    assert split.iterations_used == whole.iterations_used
+    assert split.converged == whole.converged
+    assert split.best_state.data.tobytes() == whole.best_state.data.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["AB|CDE", "A|BCDE"])
+def test_a_search_cut_short_keeps_each_restarts_last_sweep(
+    sigma15, spec, monkeypatch
+):
+    # every restart is still active when the budget ends, so each must keep
+    # its own last sweep: the best of 4 then rises with every sweep allowed
+    part = parse_partition(spec, 5)
+    values = []
+    for n in range(5):
+        monkeypatch.setattr(oracle_module, "MAX_SWEEPS", n)
+        result = maximize_q_product(sigma15, part, OracleConfig(restarts=4))
+        assert result.iterations_used == 4 * n
+        assert not result.converged
+        values.append(result.best_value)
+    assert all(later > earlier for earlier, later in zip(values, values[1:]))
+    if spec == "AB|CDE":
+        expected = [0.7003, 1.1143, 1.8020, 1.8865, 1.9699]
+        assert values == pytest.approx(expected, abs=1e-4)
 
 
 def test_product_search_caps_and_mismatch(sigma3):

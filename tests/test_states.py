@@ -438,6 +438,21 @@ def test_random_product_state_deterministic():
     assert not np.allclose(a.data, c.data)
 
 
+@pytest.mark.parametrize(
+    "dims, count", [((2,), 1), ((4, 2), 5), ((2, 8, 2, 4), 64), ((4096,), 3)]
+)
+def test_haar_units_equal_one_draw_at_a_time(dims, count):
+    # one standard_normal call for every vector, in the order of drawing
+    # them one at a time: round by round, dimension by dimension
+    units = states_module.haar_unit(np.random.default_rng(11), dims, count)
+    rng = np.random.default_rng(11)
+    for r in range(count):
+        for unit, dim in zip(units, dims):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert unit.shape == (count, dim)
+            assert unit[r].tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
 def test_anticommuting_unit_combination():
     x, y, z = (parse_pauli(t) for t in "xyz")
     assert np.allclose(
